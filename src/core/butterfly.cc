@@ -37,42 +37,58 @@ struct RouteWindow {
   std::uint64_t win = 0;   // window length in cells
 };
 
-/// Enumerate the windows of the full butterfly in execution order.
-/// direction=+1: leftward compaction (levels LSB->MSB).
-/// direction=-1: rightward expansion (levels MSB->LSB).
-std::vector<RouteWindow> route_windows(std::uint64_t n_p2, std::uint64_t m,
-                                       int direction) {
-  std::vector<RouteWindow> out;
-  if (n_p2 <= 1) return out;
-  const unsigned L = floor_log2(n_p2);
+/// g_t consecutive levels routed at stride s.
+struct SuperLevel {
+  std::uint64_t s = 1;
+  unsigned g_t = 0;
+};
+
+/// The super-levels of the butterfly over n cells in compaction order (LSB
+/// first): ceil(log2 n) levels in groups of g = Theta(log m).
+std::vector<SuperLevel> super_levels(std::uint64_t n, std::uint64_t m) {
+  std::vector<SuperLevel> out;
+  const unsigned L = ceil_log2(n);
   const unsigned g = std::max<unsigned>(1, floor_log2(std::max<std::uint64_t>(2, m / 8)));
-  const unsigned num_super = (L + g - 1) / g;
-  for (unsigned st = 0; st < num_super; ++st) {
-    // Super-level index in execution order depends on direction.
-    const unsigned t = direction > 0 ? st : num_super - 1 - st;
-    const unsigned g_t = std::min<unsigned>(g, L - t * g);
-    const std::uint64_t s = std::uint64_t{1} << (t * g);  // stride in cells
-    const std::uint64_t span = std::uint64_t{1} << g_t;   // max movement, in stride units
-    const std::uint64_t len = n_p2 / s;                   // virtual subarray length
+  for (unsigned lo = 0; lo < L; lo += g)
+    out.push_back({std::uint64_t{1} << lo, std::min<unsigned>(g, L - lo)});
+  return out;
+}
 
-    std::uint64_t win = std::min<std::uint64_t>(len, 2 * span);
-    if (win <= span && win < len) win = span + 1;  // ensure forward progress
+/// The sliding-window sweep over one residue class of len cells, each of
+/// which moves by less than span positions in the super-level: windows of
+/// win cells, each overlapping the previous one by span cells.  A class of
+/// one cell has nothing to route -- no move at its stride stays inside
+/// [0, n) -- so it gets no window.
+struct ClassSweep {
+  std::uint64_t win = 0;
+  std::uint64_t windows = 0;
+};
 
-    for (std::uint64_t rho = 0; rho < s; ++rho) {
-      // Sliding-window sweep over the virtual array V[q] = cell rho + q*s.
-      // Compaction sweeps left-to-right (receivers are to the left of
-      // senders); expansion sweeps right-to-left.
-      std::uint64_t a0 = direction > 0 ? 0 : len - win;
-      for (;;) {
-        out.push_back({s, g_t, rho, a0, win});
-        if (win >= len) break;
-        if (direction > 0) {
-          if (a0 + win >= len) break;
-          a0 = std::min(a0 + (win - span), len - win);
-        } else {
-          if (a0 == 0) break;
-          a0 = a0 > (win - span) ? a0 - (win - span) : 0;
-        }
+ClassSweep class_sweep(std::uint64_t len, std::uint64_t span) {
+  if (len <= 1) return {};
+  const std::uint64_t win = std::min(len, 2 * span);
+  return {win, len <= win ? 1 : 1 + ceil_div(len - win, span)};
+}
+
+/// Enumerate the windows of the butterfly over n cells in execution order.
+/// Only the n real cells are routed: residue class rho at stride s holds the
+/// ceil((n - rho) / s) cells rho, rho+s, ... below n.
+/// direction=+1: leftward compaction (levels LSB->MSB), windows sweep
+/// left-to-right (receivers are to the left of senders).
+/// direction=-1: rightward expansion (levels MSB->LSB), windows sweep
+/// right-to-left.
+std::vector<RouteWindow> route_windows(std::uint64_t n, std::uint64_t m, int direction) {
+  std::vector<SuperLevel> levels = super_levels(n, m);
+  if (direction < 0) std::reverse(levels.begin(), levels.end());
+  std::vector<RouteWindow> out;
+  for (const SuperLevel& sl : levels) {
+    const std::uint64_t span = std::uint64_t{1} << sl.g_t;  // in stride units
+    for (std::uint64_t rho = 0; rho < sl.s && rho < n; ++rho) {
+      const std::uint64_t len = ceil_div(n - rho, sl.s);
+      const ClassSweep cs = class_sweep(len, span);
+      for (std::uint64_t k = 0; k < cs.windows; ++k) {
+        const std::uint64_t a0 = std::min(k * span, len - cs.win);  // last one clamped
+        out.push_back({sl.s, sl.g_t, rho, direction > 0 ? a0 : len - cs.win - a0, cs.win});
       }
     }
   }
@@ -96,7 +112,10 @@ void route_window(const RouteWindow& wd, std::span<Record> buf, std::size_t B,
     cur[q] = {meta.key != 0, meta.value, static_cast<std::uint32_t>(q)};
   }
 
-  for (unsigned l = 0; l < wd.g_t; ++l) {
+  for (unsigned i = 0; i < wd.g_t; ++i) {
+    // Expansion is compaction run backwards: MSB->LSB inside a window too,
+    // or cells can collide (see butterfly.h).
+    const unsigned l = direction > 0 ? i : wd.g_t - 1 - i;
     const std::uint64_t step_cells = wd.s << l;
     for (auto& slot : nxt) {
       slot.occupied = false;
@@ -147,16 +166,15 @@ void route_window(const RouteWindow& wd, std::span<Record> buf, std::size_t B,
   }
 }
 
-/// Routes the scratch array W of n_p2 cells through the full butterfly as a
+/// Routes the scratch array W of n cells through the butterfly as a
 /// pipeline over window positions.  Successive windows overlap, so the next
 /// read is never prefetched early; the write still retires asynchronously
 /// (FIFO execution makes the overlap-hazard impossible), and the whole
 /// window moves as two batched transfers instead of 4*win single-block ops.
-void route(Client& client, const ExtArray& w, std::uint64_t n_p2, int direction) {
-  if (n_p2 <= 1) return;
+void route(Client& client, const ExtArray& w, std::uint64_t n, int direction) {
   const std::size_t B = client.B();
   const BlockBuf empty = make_empty_block(B);
-  const std::vector<RouteWindow> wins = route_windows(n_p2, client.m(), direction);
+  const std::vector<RouteWindow> wins = route_windows(n, client.m(), direction);
   run_block_pipeline(
       client, wins.size(),
       [&](std::uint64_t t, PipelinePass& io) {
@@ -244,9 +262,8 @@ TightCompactResult tight_compact_blocks(Client& client, const ExtArray& a,
   TightCompactResult res;
   res.out = client.alloc_blocks(n, Client::Init::kUninit);
   if (n == 0) return res;
-  const std::uint64_t n_p2 = next_pow2(n);
 
-  ExtArray w = client.alloc_blocks(2 * n_p2, Client::Init::kUninit);
+  ExtArray w = client.alloc_blocks(2 * n, Client::Init::kUninit);
   const BlockBuf empty = make_empty_block(B);
 
   // Copy-in scan: label occupied cells with "number of empty cells to my
@@ -254,7 +271,7 @@ TightCompactResult tight_compact_blocks(Client& client, const ExtArray& a,
   // pass expands a chunk of input blocks into payload+metadata cell pairs.
   {
     const std::uint64_t C = scan_chunk_cells(client);
-    const std::uint64_t chunks = ceil_div(n_p2, C);
+    const std::uint64_t chunks = ceil_div(n, C);
     std::uint64_t empties = 0;
     BlockBuf blk(B);
     run_block_pipeline(
@@ -263,9 +280,9 @@ TightCompactResult tight_compact_blocks(Client& client, const ExtArray& a,
           io.read_from = &a;
           io.write_to = &w;
           const std::uint64_t first = t * C;
-          const std::uint64_t k = std::min(C, n_p2 - first);
+          const std::uint64_t k = std::min(C, n - first);
           for (std::uint64_t c = 0; c < k; ++c) {
-            if (first + c < n) io.reads.push_back(first + c);
+            io.reads.push_back(first + c);
             io.writes.push_back(2 * (first + c));
             io.writes.push_back(2 * (first + c) + 1);
           }
@@ -273,26 +290,22 @@ TightCompactResult tight_compact_blocks(Client& client, const ExtArray& a,
         [&](std::uint64_t t, std::span<Record> buf) {
           const std::uint64_t first = t * C;
           const std::uint64_t k = buf.size() / (2 * B);
-          const std::uint64_t real = first < n ? std::min<std::uint64_t>(k, n - first) : 0;
           // Evaluate the predicate forward (the gathered payloads sit in the
           // buffer prefix), recording each cell's occupancy and distance.
           std::vector<std::pair<bool, std::uint64_t>> cells(k);
           for (std::uint64_t c = 0; c < k; ++c) {
-            bool occ = false;
-            if (c < real) {
-              blk.assign(buf.begin() + static_cast<std::ptrdiff_t>(c * B),
-                         buf.begin() + static_cast<std::ptrdiff_t>((c + 1) * B));
-              occ = pred(first + c, blk);
-            }
+            blk.assign(buf.begin() + static_cast<std::ptrdiff_t>(c * B),
+                       buf.begin() + static_cast<std::ptrdiff_t>((c + 1) * B));
+            const bool occ = pred(first + c, blk);
             cells[c] = {occ, occ ? empties : 0};
             if (!occ) ++empties;
             if (occ) ++res.occupied;
           }
-          expand_cells_backward(buf, k, real, B, empty, cells);
+          expand_cells_backward(buf, k, k, B, empty, cells);
         });
   }
 
-  route(client, w, n_p2, /*direction=*/+1);
+  route(client, w, n, /*direction=*/+1);
 
   // Copy-out scan: occupied cells now form the prefix, in original order.
   {
@@ -323,14 +336,13 @@ ExtArray expand_blocks(Client& client, const ExtArray& a, std::uint64_t count,
   const std::size_t B = client.B();
   ExtArray out = client.alloc_blocks(out_blocks, Client::Init::kUninit);
   if (out_blocks == 0) return out;
-  const std::uint64_t n_p2 = next_pow2(out_blocks);
-  ExtArray w = client.alloc_blocks(2 * n_p2, Client::Init::kUninit);
+  ExtArray w = client.alloc_blocks(2 * out_blocks, Client::Init::kUninit);
   const BlockBuf empty = make_empty_block(B);
 
   // Copy-in: block i gets rightward distance target(i) - i.
   {
     const std::uint64_t C = scan_chunk_cells(client);
-    const std::uint64_t chunks = ceil_div(n_p2, C);
+    const std::uint64_t chunks = ceil_div(out_blocks, C);
     std::uint64_t prev_target = 0;
     run_block_pipeline(
         client, chunks,
@@ -338,7 +350,7 @@ ExtArray expand_blocks(Client& client, const ExtArray& a, std::uint64_t count,
           io.read_from = &a;
           io.write_to = &w;
           const std::uint64_t first = t * C;
-          const std::uint64_t k = std::min(C, n_p2 - first);
+          const std::uint64_t k = std::min(C, out_blocks - first);
           for (std::uint64_t c = 0; c < k; ++c) {
             if (first + c < count) io.reads.push_back(first + c);
             io.writes.push_back(2 * (first + c));
@@ -364,7 +376,7 @@ ExtArray expand_blocks(Client& client, const ExtArray& a, std::uint64_t count,
         });
   }
 
-  route(client, w, n_p2, /*direction=*/-1);
+  route(client, w, out_blocks, /*direction=*/-1);
 
   {
     const std::uint64_t C = scan_chunk_cells(client);
@@ -430,15 +442,17 @@ TightCompactResult tight_compact_by_sort(Client& client, const ExtArray& a,
 }
 
 std::uint64_t butterfly_predicted_ios(std::uint64_t n_blocks, std::uint64_t m_blocks) {
-  if (n_blocks == 0) return 0;
-  const std::uint64_t n_p2 = next_pow2(n_blocks);
-  const unsigned L = floor_log2(n_p2);
-  const unsigned g =
-      std::max<unsigned>(1, floor_log2(std::max<std::uint64_t>(2, m_blocks / 8)));
-  const unsigned num_super = L == 0 ? 0 : (L + g - 1) / g;
-  // copy-in (n reads + 2 n' writes) + per super-level ~2 passes over 2n'
-  // blocks read+write + copy-out (2n reads + n writes).
-  return n_blocks + 2 * n_p2 + num_super * 8 * n_p2 + 3 * n_blocks;
+  // Copy-in (n reads + 2n writes) and copy-out (2n reads + n writes), plus
+  // every routing window's cells read and written as payload+metadata pairs.
+  // At stride s the n % s lowest residue classes hold one cell more.
+  std::uint64_t io = 6 * n_blocks;
+  for (const SuperLevel& sl : super_levels(n_blocks, m_blocks)) {
+    const std::uint64_t span = std::uint64_t{1} << sl.g_t;
+    const std::uint64_t q = n_blocks / sl.s, rem = n_blocks % sl.s;
+    const ClassSweep longer = class_sweep(q + 1, span), shorter = class_sweep(q, span);
+    io += 4 * (rem * longer.windows * longer.win + (sl.s - rem) * shorter.windows * shorter.win);
+  }
+  return io;
 }
 
 }  // namespace oem::core

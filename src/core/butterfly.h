@@ -9,7 +9,10 @@
 // at position j labeled with leftward distance d moves by (d mod 2^{i+1})
 // in {0, 2^i} at level i.  Lemma 5 guarantees no two blocks ever collide.
 // Distances for compaction are "number of empty cells to my left", computed
-// by one scan.
+// by one scan.  Expansion is compaction run backwards: levels from the most
+// significant down (also inside each window below), a cell moving right by
+// bit i of its displacement at level i, so every intermediate layout is one
+// a compaction passes through and stays collision-free.
 //
 // I/O efficiency: levels are processed in super-levels of g = Theta(log m)
 // levels.  After t*g levels every remaining distance is a multiple of
@@ -17,6 +20,13 @@
 // sliding window of 2*2^{g_t} cells (cache-sized) routes g_t levels in one
 // linear pass per subarray.  Total: O(n * ceil(log n / log m)) block I/Os --
 // the paper's O((N/B) log_{M/B}(N/B)).
+//
+// Only the n real cells are routed; n is not padded to a power of two.  The
+// subarray of residue rho holds the ceil((n - rho) / s) cells below n, and a
+// one-cell subarray is skipped.  Compaction only moves cells leftward and
+// expansion never past its output size, so a cell at index n or above would
+// never be occupied: trimming drops only no-op I/O.  The scratch array holds
+// 2n blocks (payload + metadata per cell).
 //
 // The trace depends only on (n, m): fully data-oblivious, no failure
 // probability.
@@ -60,8 +70,9 @@ ExtArray expand_blocks(Client& client, const ExtArray& a, std::uint64_t count,
 TightCompactResult tight_compact_by_sort(Client& client, const ExtArray& a,
                                          const BlockPredFn& pred);
 
-/// Cost-model predictor for the butterfly router (block I/Os), used by tests
-/// to pin the O(n log n / log m) shape.
+/// Exact block I/O count of tight_compact_blocks on n blocks with an m-block
+/// cache (copy-in, routing windows, copy-out); tests pin measured == this,
+/// and sparse_compact_blocks uses it to choose a strategy.
 std::uint64_t butterfly_predicted_ios(std::uint64_t n_blocks, std::uint64_t m_blocks);
 
 }  // namespace oem::core

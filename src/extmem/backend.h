@@ -306,6 +306,13 @@ class DirectFileBackend : public StorageBackend {
   /// Credits an already-popped CQE (user_data + res) to its frame.
   Status credit_cqe(std::uint64_t user_data, std::int32_t res, Frame* extra);
   void scatter_read(Frame& f);
+  /// Records f's sorted block ids, then drains the in-flight frames when f
+  /// shares a block with one of them and either frame is a write: io_uring
+  /// runs the SQEs of different frames in no set order, so f could overtake.
+  Status order_after_inflight(Frame& f, std::span<const std::uint64_t> blocks);
+  /// Copies a write batch into f's zero-padded slots (f.ids already set).
+  void stage_write(Frame& f, std::span<const std::uint64_t> blocks,
+                   std::span<const Word> in);
 
   std::string path_;
   bool unlink_on_close_ = false;

@@ -28,9 +28,11 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <unordered_map>
 
 #include "extmem/arena.h"
 #include "extmem/io_engine.h"
@@ -163,6 +165,7 @@ struct DirectFileBackend::Frame {
   ArenaBuffer bounce;                    // slot-strided payload staging
   unsigned outstanding = 0;              // CQEs not yet reaped
   Status result;                         // first per-CQE failure
+  std::vector<std::uint64_t> ids;        // sorted block ids (overlap/duplicate checks)
 };
 
 // ---------------------------------------------------------------------------
@@ -440,6 +443,44 @@ void DirectFileBackend::scatter_read(Frame& f) {
                 bw * sizeof(Word));
 }
 
+Status DirectFileBackend::order_after_inflight(Frame& f,
+                                               std::span<const std::uint64_t> blocks) {
+  f.ids.assign(blocks.begin(), blocks.end());
+  std::sort(f.ids.begin(), f.ids.end());
+  for (const auto& p : inflight_) {
+    if (f.is_read && p->is_read) continue;
+    auto a = f.ids.begin();
+    auto b = p->ids.begin();
+    while (a != f.ids.end() && b != p->ids.end()) {
+      if (*a < *b) ++a;
+      else if (*b < *a) ++b;
+      else return drain_inflight();
+    }
+  }
+  return Status::Ok();
+}
+
+void DirectFileBackend::stage_write(Frame& f, std::span<const std::uint64_t> blocks,
+                                    std::span<const Word> in) {
+  const std::size_t bw = block_words();
+  const std::size_t slot_words = slot_bytes_ / sizeof(Word);
+  // The SQEs of one frame also run in no set order: when an id repeats,
+  // every slot for it carries the last occurrence's bytes, so whichever SQE
+  // lands last leaves the batch's defined result.
+  std::unordered_map<std::uint64_t, std::size_t> last;
+  if (std::adjacent_find(f.ids.begin(), f.ids.end()) != f.ids.end())
+    for (std::size_t i = 0; i < blocks.size(); ++i) last[blocks[i]] = i;
+  f.bounce.resize(blocks.size() * slot_words);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const std::size_t src = last.empty() ? i : last[blocks[i]];
+    Word* slot = f.bounce.data() + i * slot_words;
+    std::memcpy(slot, in.data() + src * bw, bw * sizeof(Word));
+    // Zero the slot padding: a recycled arena buffer may hold another
+    // layer's stale plaintext, which must never reach the (untrusted) store.
+    if (slot_words > bw) std::memset(slot + bw, 0, (slot_words - bw) * sizeof(Word));
+  }
+}
+
 Status DirectFileBackend::drain_inflight() {
   while (!inflight_.empty()) {
     auto f = std::move(inflight_.front());
@@ -511,16 +552,8 @@ Status DirectFileBackend::do_write_many(std::span<const std::uint64_t> blocks,
   f.serial = next_frame_serial_++;
   f.is_read = false;
   f.nblocks = blocks.size();
-  const std::size_t bw = block_words();
-  const std::size_t slot_words = slot_bytes_ / sizeof(Word);
-  f.bounce.resize(blocks.size() * slot_words);
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    Word* slot = f.bounce.data() + i * slot_words;
-    std::memcpy(slot, in.data() + i * bw, bw * sizeof(Word));
-    // Zero the slot padding: a recycled arena buffer may hold another
-    // layer's stale plaintext, which must never reach the (untrusted) store.
-    if (slot_words > bw) std::memset(slot + bw, 0, (slot_words - bw) * sizeof(Word));
-  }
+  OEM_RETURN_IF_ERROR(order_after_inflight(f, blocks));  // nothing in flight: sets ids
+  stage_write(f, blocks, in);
   OEM_RETURN_IF_ERROR(submit_frame(f, blocks));
   OEM_RETURN_IF_ERROR(await_frame(f));
   return f.result;
@@ -535,6 +568,7 @@ Status DirectFileBackend::do_begin_read_many(std::span<const std::uint64_t> bloc
   f->dest = out.data();
   f->nblocks = blocks.size();
   f->bounce.resize(blocks.size() * (slot_bytes_ / sizeof(Word)));
+  OEM_RETURN_IF_ERROR(order_after_inflight(*f, blocks));
   Status st = submit_frame(*f, blocks);
   if (!st.ok()) {
     (void)await_frame(*f);  // partially submitted SQEs must not outlive bounce
@@ -551,14 +585,8 @@ Status DirectFileBackend::do_begin_write_many(std::span<const std::uint64_t> blo
   f->serial = next_frame_serial_++;
   f->is_read = false;
   f->nblocks = blocks.size();
-  const std::size_t bw = block_words();
-  const std::size_t slot_words = slot_bytes_ / sizeof(Word);
-  f->bounce.resize(blocks.size() * slot_words);
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    Word* slot = f->bounce.data() + i * slot_words;
-    std::memcpy(slot, in.data() + i * bw, bw * sizeof(Word));
-    if (slot_words > bw) std::memset(slot + bw, 0, (slot_words - bw) * sizeof(Word));
-  }
+  OEM_RETURN_IF_ERROR(order_after_inflight(*f, blocks));
+  stage_write(*f, blocks, in);
   Status st = submit_frame(*f, blocks);
   if (!st.ok()) {
     (void)await_frame(*f);

@@ -33,7 +33,7 @@
 namespace oem::oram {
 
 enum class ShuffleKind {
-  kDeterministic,  // Lemma 2: external bitonic over runs
+  kDeterministic,  // Lemma 2: external odd-even merge over runs
   kRandomized,     // Theorem 21: the paper's randomized oblivious sort
 };
 

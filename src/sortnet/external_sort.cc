@@ -28,132 +28,85 @@ void write_run(Client& c, const ExtArray& a, std::uint64_t first, std::uint64_t 
                      offset, static_cast<std::size_t>(count) * c.B()));
 }
 
-/// One comparator of the run-level sorting network.
-struct RunComparator {
-  std::uint64_t i = 0, j = 0;
-  bool asc = true;
+/// Run length in blocks: half the cache, so a merge-split of two runs fits
+/// the private memory.
+std::uint64_t default_run_blocks(std::uint64_t m) { return std::max<std::uint64_t>(1, m / 2); }
+
+/// The run layout of an n-block array: runs of run_blocks blocks, the last
+/// one possibly shorter.  No padding: the last run simply ends at n.
+struct RunLayout {
+  std::uint64_t n = 0;
+  std::uint64_t run_blocks = 1;
+
+  std::uint64_t count() const { return ceil_div(n, run_blocks); }
+  std::uint64_t len(std::uint64_t r) const {
+    return std::min(run_blocks, n - r * run_blocks);
+  }
+  /// Appends the block ids of run r.
+  void append(std::uint64_t r, std::vector<std::uint64_t>& ids) const {
+    for (std::uint64_t b = r * run_blocks; b < r * run_blocks + len(r); ++b)
+      ids.push_back(b);
+  }
 };
 
-/// Materialize the network as an explicit schedule so the pipeline can look
-/// one comparator ahead (the schedule is a public function of the run count).
-std::vector<RunComparator> run_schedule(std::uint64_t runs_p2, bool odd_even) {
-  std::vector<RunComparator> s;
-  auto push = [&](std::uint64_t i, std::uint64_t j, bool asc) {
-    s.push_back({i, j, asc});
-  };
-  if (odd_even) odd_even_schedule(runs_p2, push);
-  else bitonic_schedule(runs_p2, push);
-  return s;
+/// Visits the merge-splits of Batcher's odd-even merge network over `runs`
+/// runs in execution order, fn(i, j) for runs i < j, the lower half to i
+/// (odd-even merge has only ascending comparators).  The network is built
+/// on next_pow2(runs) wires and every comparator whose upper run is a
+/// virtual one (index >= runs) is dropped: a virtual run is all padding,
+/// which sorts last, and an ascending comparator leaves its upper run's
+/// padding in place, so the dropped comparators never move anything.  The
+/// same argument keeps the short last run exact -- it is always the upper
+/// run of its comparators, so the padding it lacks would have stayed at its
+/// tail.
+template <typename Fn>
+void for_each_run_comparator(std::uint64_t runs, Fn&& fn) {
+  odd_even_schedule(next_pow2(runs), [&](std::uint64_t i, std::uint64_t j, bool) {
+    if (j < runs) fn(i, j);
+  });
 }
 
-/// Pure per-chunk copy: output block j is gathered input block j when
-/// covered, an explicit empty block otherwise (both copy scans below share
-/// it; the pad case simply gathers fewer blocks than it scatters).
-ParallelCompute chunked_copy_or_empty(std::size_t B) {
-  return {[B](std::uint64_t, std::span<const Record> in, std::uint64_t first_block,
-              std::span<Record> out) {
-            const std::size_t k = out.size() / B;
-            for (std::size_t b = 0; b < k; ++b) {
-              const std::size_t src_off = (first_block + b) * B;
-              if (src_off + B <= in.size())
-                std::copy_n(in.begin() + static_cast<std::ptrdiff_t>(src_off), B,
-                            out.begin() + static_cast<std::ptrdiff_t>(b * B));
-              else  // padding blocks sort last (empty sentinel)
-                std::fill_n(out.begin() + static_cast<std::ptrdiff_t>(b * B), B,
-                            Record{});
-            }
-          },
-          0};
-}
-
-/// Copy blocks [0, n) of `src` into `dst` and pad dst[n, padded) with empty
-/// blocks -- the scratch copy-in of the padded sort, as a chunked pipeline.
-void copy_pad_blocks(Client& c, const ExtArray& src, std::uint64_t n,
-                     const ExtArray& dst, std::uint64_t padded) {
-  const std::uint64_t W = std::max<std::uint64_t>(1, c.io_batch_blocks());
-  const std::uint64_t chunks = padded == 0 ? 0 : ceil_div(padded, W);
-  run_block_pipeline(
-      c, chunks,
-      [&](std::uint64_t t, PipelinePass& io) {
-        io.read_from = &src;
-        io.write_to = &dst;
-        const std::uint64_t first = t * W;
-        const std::uint64_t k = std::min(W, padded - first);
-        for (std::uint64_t j = 0; j < k; ++j) {
-          if (first + j < n) io.reads.push_back(first + j);
-          io.writes.push_back(first + j);
-        }
-      },
-      chunked_copy_or_empty(c.B()));
-}
-
-/// Copy blocks [0, n) of `src` into `dst` (same-size chunked pipeline scan).
-void copy_back_blocks(Client& c, const ExtArray& src, const ExtArray& dst,
-                      std::uint64_t n) {
-  const std::uint64_t W = std::max<std::uint64_t>(1, c.io_batch_blocks());
-  const std::uint64_t chunks = n == 0 ? 0 : ceil_div(n, W);
-  run_block_pipeline(
-      c, chunks,
-      [&](std::uint64_t t, PipelinePass& io) {
-        io.read_from = &src;
-        io.write_to = &dst;
-        const std::uint64_t first = t * W;
-        const std::uint64_t k = std::min(W, n - first);
-        for (std::uint64_t j = 0; j < k; ++j) {
-          io.reads.push_back(first + j);
-          io.writes.push_back(first + j);
-        }
-      },
-      chunked_copy_or_empty(c.B()));
-}
-
-/// Phase 1 of both sorts: privately sort every run of `run_blocks` blocks of
-/// `work`, pipelined so run r+1 streams in while run r sorts.
-void sort_runs(Client& c, const ExtArray& work, std::uint64_t runs,
-               std::uint64_t run_blocks,
+/// Phase 1 of both sorts: privately sort every run, pipelined so run r+1
+/// streams in while run r sorts.
+void sort_runs(Client& c, const ExtArray& work, const RunLayout& runs,
                const std::function<void(std::span<Record>)>& sort_buf) {
   run_block_pipeline(
-      c, runs,
+      c, runs.count(),
       [&](std::uint64_t r, PipelinePass& io) {
         io.read_from = &work;
         io.write_to = &work;
-        for (std::uint64_t j = 0; j < run_blocks; ++j) {
-          io.reads.push_back(r * run_blocks + j);
-          io.writes.push_back(r * run_blocks + j);
-        }
+        runs.append(r, io.reads);
+        io.writes = io.reads;
       },
       [&](std::uint64_t, std::span<Record> buf) { sort_buf(buf); });
 }
 
 /// Phase 2: drive the comparator schedule through the pipeline.  Each pass
 /// gathers both runs, merges privately (chunk-parallel on the compute pool),
-/// and scatters the lower half to the ascending target run -- encoding the
-/// comparator direction purely in the scatter list.
-void run_network(Client& c, const ExtArray& work, std::uint64_t run_blocks,
-                 const std::vector<RunComparator>& schedule,
+/// and scatters the lower run_blocks blocks back to run i, the rest to run j.
+void run_network(Client& c, const ExtArray& work, const RunLayout& runs,
                  const ParallelCompute& merge) {
+  // Materialized so the pipeline can look ahead (a public function of the
+  // run count).
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> schedule;
+  for_each_run_comparator(runs.count(), [&](std::uint64_t i, std::uint64_t j) {
+    schedule.emplace_back(i, j);
+  });
   run_block_pipeline(
       c, schedule.size(),
       [&](std::uint64_t t, PipelinePass& io) {
-        const RunComparator& cmp = schedule[t];
         io.read_from = &work;
         io.write_to = &work;
-        for (std::uint64_t b = 0; b < run_blocks; ++b)
-          io.reads.push_back(cmp.i * run_blocks + b);
-        for (std::uint64_t b = 0; b < run_blocks; ++b)
-          io.reads.push_back(cmp.j * run_blocks + b);
-        const std::uint64_t lo = cmp.asc ? cmp.i : cmp.j;
-        const std::uint64_t hi = cmp.asc ? cmp.j : cmp.i;
-        for (std::uint64_t b = 0; b < run_blocks; ++b)
-          io.writes.push_back(lo * run_blocks + b);
-        for (std::uint64_t b = 0; b < run_blocks; ++b)
-          io.writes.push_back(hi * run_blocks + b);
+        runs.append(schedule[t].first, io.reads);
+        runs.append(schedule[t].second, io.reads);
+        io.writes = io.reads;
       },
       merge);
 }
 
-/// Chunked merge of the two sorted runs gathered back to back in `in`: the
-/// merge-path split (binary search over the cross diagonal) finds where
+/// Chunked merge of the two sorted runs gathered back to back in `in` (the
+/// first one full, the second possibly the short last run): the merge-path
+/// split (binary search over the cross diagonal) finds where
 /// output offset k = first_block * B begins, then each chunk merges its own
 /// slice serially.  The split is the unique one a stable merge (run-0 wins
 /// ties) produces, so the concatenated chunks are byte-identical to one
@@ -199,7 +152,8 @@ ParallelCompute chunked_unit_merge(Client& c, std::uint64_t run_blocks,
   return {[run_records, unit_records, unit_blocks](
               std::uint64_t, std::span<const Record> in, std::uint64_t first_block,
               std::span<Record> out) {
-            const std::size_t units = run_records / unit_records;
+            const std::size_t a_units = run_records / unit_records;
+            const std::size_t b_units = (in.size() - run_records) / unit_records;
             auto af = [&](std::size_t i) -> const Record& {
               return in[i * unit_records];
             };
@@ -207,8 +161,8 @@ ParallelCompute chunked_unit_merge(Client& c, std::uint64_t run_blocks,
               return in[run_records + j * unit_records];
             };
             const std::size_t k = static_cast<std::size_t>(first_block / unit_blocks);
-            std::size_t lo = k > units ? k - units : 0;
-            std::size_t hi = std::min(k, units);
+            std::size_t lo = k > b_units ? k - b_units : 0;
+            std::size_t hi = std::min(k, a_units);
             while (lo < hi) {
               const std::size_t i = lo + (hi - lo) / 2;
               const std::size_t j = k - i;
@@ -218,7 +172,8 @@ ParallelCompute chunked_unit_merge(Client& c, std::uint64_t run_blocks,
             std::size_t i = lo, j = k - lo;
             const std::size_t out_units = out.size() / unit_records;
             for (std::size_t o = 0; o < out_units; ++o) {
-              const bool take_b = i >= units || (j < units && RecordLess{}(bf(j), af(i)));
+              const bool take_b =
+                  i >= a_units || (j < b_units && RecordLess{}(bf(j), af(i)));
               const std::size_t src =
                   take_b ? run_records + (j++) * unit_records : (i++) * unit_records;
               std::copy_n(in.begin() + static_cast<std::ptrdiff_t>(src), unit_records,
@@ -230,45 +185,20 @@ ParallelCompute chunked_unit_merge(Client& c, std::uint64_t run_blocks,
 
 }  // namespace
 
-void ext_oblivious_sort(Client& client, const ExtArray& a, const ExtSortOptions& opts) {
+void ext_oblivious_sort(Client& client, const ExtArray& a) {
   const std::uint64_t n = a.num_blocks();
-  if (n <= 1) {
-    if (n == 1) sort_region_in_cache(client, a, 0, 1);
-    return;
-  }
-  const std::uint64_t m = client.m();
-  std::uint64_t run_blocks = opts.run_blocks != 0 ? opts.run_blocks : std::max<std::uint64_t>(1, m / 2);
-  run_blocks = std::min(run_blocks, n);
-
-  const std::uint64_t runs = ceil_div(n, run_blocks);
-  const std::uint64_t runs_p2 = next_pow2(runs);
-
-  // Operate on the array itself when it is exactly runs_p2 * run_blocks
-  // blocks; otherwise sort in a padded scratch array and copy back.
-  const std::uint64_t padded_blocks = runs_p2 * run_blocks;
-  ExtArray work = a;
-  bool scratch = false;
-  if (padded_blocks != n) {
-    scratch = true;
-    work = client.alloc_blocks(padded_blocks, Client::Init::kUninit);
-    copy_pad_blocks(client, a, n, work, padded_blocks);
-  }
+  if (n == 0) return;
+  const RunLayout runs{n, std::min(default_run_blocks(client.m()), n)};
 
   // Phase 1: sort each run privately.
-  const std::size_t run_records = static_cast<std::size_t>(run_blocks) * client.B();
-  sort_runs(client, work, runs_p2, run_blocks, [](std::span<Record> buf) {
+  sort_runs(client, a, runs, [](std::span<Record> buf) {
     std::stable_sort(buf.begin(), buf.end(), RecordLess{});
   });
 
   // Phase 2: sorting network over runs with merge-split comparators.  Both
   // runs are individually sorted; a single (chunk-parallel) merge suffices.
-  run_network(client, work, run_blocks, run_schedule(runs_p2, opts.odd_even),
-              chunked_run_merge(client.B(), run_records));
-
-  if (scratch) {
-    copy_back_blocks(client, work, a, n);
-    client.release(work);
-  }
+  run_network(client, a, runs,
+              chunked_run_merge(client.B(), static_cast<std::size_t>(runs.run_blocks) * client.B()));
 }
 
 void sort_region_in_cache(Client& client, const ExtArray& a, std::uint64_t first_block,
@@ -314,7 +244,7 @@ void sort_units_in_buffer(std::span<Record> buf, std::size_t unit_records) {
 }  // namespace
 
 void ext_oblivious_unit_sort(Client& client, const ExtArray& a,
-                             std::uint64_t unit_blocks, const ExtSortOptions& opts) {
+                             std::uint64_t unit_blocks) {
   assert(unit_blocks >= 1);
   const std::uint64_t n = a.num_blocks();
   assert(n % unit_blocks == 0);
@@ -322,55 +252,31 @@ void ext_oblivious_unit_sort(Client& client, const ExtArray& a,
   if (units <= 1) return;
   const std::size_t B = client.B();
   const std::size_t unit_records = static_cast<std::size_t>(unit_blocks) * B;
-  const std::uint64_t m = client.m();
 
   // Runs are whole numbers of units; two runs must fit in cache.
-  std::uint64_t run_units =
-      std::max<std::uint64_t>(1, (opts.run_blocks != 0 ? opts.run_blocks : m / 2) / unit_blocks);
-  run_units = std::min(run_units, units);
-  const std::uint64_t run_blocks = run_units * unit_blocks;
-  const std::uint64_t runs = ceil_div(units, run_units);
-  const std::uint64_t runs_p2 = next_pow2(runs);
-  const std::uint64_t padded_blocks = runs_p2 * run_blocks;
-
-  ExtArray work = a;
-  bool scratch = false;
-  if (padded_blocks != n) {
-    scratch = true;
-    work = client.alloc_blocks(padded_blocks, Client::Init::kUninit);
-    copy_pad_blocks(client, a, n, work, padded_blocks);  // empty key: pads sort last
-  }
+  const std::uint64_t run_units = std::min(
+      units, std::max<std::uint64_t>(1, default_run_blocks(client.m()) / unit_blocks));
+  const RunLayout runs{n, run_units * unit_blocks};
 
   // Phase 1: unit-sort each run privately.
-  sort_runs(client, work, runs_p2, run_blocks, [&](std::span<Record> buf) {
+  sort_runs(client, a, runs, [&](std::span<Record> buf) {
     sort_units_in_buffer(buf, unit_records);
   });
 
   // Phase 2: network over runs with unit-granularity merge-split.
-  run_network(client, work, run_blocks, run_schedule(runs_p2, opts.odd_even),
-              chunked_unit_merge(client, run_blocks, unit_blocks, unit_records));
-
-  if (scratch) {
-    copy_back_blocks(client, work, a, n);
-    client.release(work);
-  }
+  run_network(client, a, runs,
+              chunked_unit_merge(client, runs.run_blocks, unit_blocks, unit_records));
 }
 
-std::uint64_t ext_sort_predicted_ios(std::uint64_t n_blocks, std::uint64_t m_blocks,
-                                     const ExtSortOptions& opts) {
-  if (n_blocks <= 1) return 2 * n_blocks;
-  std::uint64_t run_blocks =
-      opts.run_blocks != 0 ? opts.run_blocks : std::max<std::uint64_t>(1, m_blocks / 2);
-  run_blocks = std::min(run_blocks, n_blocks);
-  const std::uint64_t runs = ceil_div(n_blocks, run_blocks);
-  const std::uint64_t runs_p2 = next_pow2(runs);
-  const std::uint64_t padded = runs_p2 * run_blocks;
-  std::uint64_t io = 0;
-  if (padded != n_blocks) io += n_blocks + padded + n_blocks + n_blocks;  // copy in/out
-  io += 2 * padded;  // run formation
-  const std::uint64_t comparators = opts.odd_even ? odd_even_comparator_count(runs_p2)
-                                                  : bitonic_comparator_count(runs_p2);
-  io += comparators * 4 * run_blocks;  // each merge-split: 2 reads + 2 writes per run
+std::uint64_t ext_sort_predicted_ios(std::uint64_t n_blocks, std::uint64_t m_blocks) {
+  if (n_blocks == 0) return 0;
+  const RunLayout runs{n_blocks, std::min(default_run_blocks(m_blocks), n_blocks)};
+  // Run formation reads and writes every block once; each merge-split reads
+  // and writes both of its runs.
+  std::uint64_t io = 2 * n_blocks;
+  for_each_run_comparator(runs.count(), [&](std::uint64_t i, std::uint64_t j) {
+    io += 2 * (runs.len(i) + runs.len(j));
+  });
   return io;
 }
 

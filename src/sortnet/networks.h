@@ -5,7 +5,8 @@
 // the two classic practical networks -- bitonic sort and Batcher's odd-even
 // merge sort -- as comparator *schedules* (a visitor over (i, j) pairs), so
 // the same schedule can drive in-RAM compare-exchanges or external-memory
-// merge-split operations on whole runs of blocks (see external_sort.h).
+// merge-split operations on whole runs of blocks (external_sort.h drives
+// the odd-even schedule that way).
 //
 // Both networks require a power-of-two size; the `*_any` wrappers pad with a
 // caller-supplied maximum element.

@@ -71,25 +71,26 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Butterfly, MatchesSortReference) {
   // Differential: butterfly output == Lemma-2-based reference on random
-  // occupancy patterns.
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    Client c1(test::params(4, 64)), c2(test::params(4, 64));
-    const std::uint64_t n = 48;
-    rng::Xoshiro g(seed);
-    std::vector<Record> flat(n * 4);
-    for (std::uint64_t b = 0; b < n; ++b)
-      if (g.bernoulli(0.4))
-        for (std::size_t r = 0; r < 4; ++r) flat[b * 4 + r] = {b * 10 + r, b};
+  // occupancy patterns, also at n = 2^k + 1 (one cell past a power of two).
+  for (std::uint64_t n : {48ull, 3ull, 5ull, 17ull, 65ull, 257ull, 1037ull}) {
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+      Client c1(test::params(4, 64)), c2(test::params(4, 64));
+      rng::Xoshiro g(seed);
+      std::vector<Record> flat(n * 4);
+      for (std::uint64_t b = 0; b < n; ++b)
+        if (g.bernoulli(0.4))
+          for (std::size_t r = 0; r < 4; ++r) flat[b * 4 + r] = {b * 10 + r, b};
 
-    ExtArray a1 = c1.alloc_blocks(n, Client::Init::kUninit);
-    c1.poke(a1, flat);
-    ExtArray a2 = c2.alloc_blocks(n, Client::Init::kUninit);
-    c2.poke(a2, flat);
+      ExtArray a1 = c1.alloc_blocks(n, Client::Init::kUninit);
+      c1.poke(a1, flat);
+      ExtArray a2 = c2.alloc_blocks(n, Client::Init::kUninit);
+      c2.poke(a2, flat);
 
-    auto r1 = tight_compact_blocks(c1, a1, block_nonempty_pred());
-    auto r2 = tight_compact_by_sort(c2, a2, block_nonempty_pred());
-    EXPECT_EQ(r1.occupied, r2.occupied);
-    EXPECT_EQ(c1.peek(r1.out), c2.peek(r2.out)) << "seed=" << seed;
+      auto r1 = tight_compact_blocks(c1, a1, block_nonempty_pred());
+      auto r2 = tight_compact_by_sort(c2, a2, block_nonempty_pred());
+      EXPECT_EQ(r1.occupied, r2.occupied);
+      EXPECT_EQ(c1.peek(r1.out), c2.peek(r2.out)) << "n=" << n << " seed=" << seed;
+    }
   }
 }
 
@@ -142,18 +143,24 @@ TEST(Butterfly, ExpansionInvertsCompaction) {
 }
 
 TEST(Butterfly, ExpandThenCompactIsIdentity) {
-  Client client(test::params(4, 128));
-  const std::uint64_t count = 10, out_n = 64;
-  auto flat = test::random_records(count * 4, 3);
-  ExtArray a = client.alloc_blocks(count, Client::Init::kUninit);
-  client.poke(a, flat);
-  ExtArray spread = expand_blocks(client, a, count, out_n,
-                                  [](std::uint64_t i) { return i * 6 + 1; });
-  TightCompactResult back = tight_compact_blocks(client, spread, block_nonempty_pred());
-  EXPECT_EQ(back.occupied, count);
-  auto got = client.peek(back.out);
-  got.resize(count * 4);
-  EXPECT_EQ(got, flat);
+  // Also at n = 2^k + 1 cells, with the last block sent to the last cell.
+  for (std::uint64_t out_n : {64ull, 17ull, 65ull, 1025ull}) {
+    Client client(test::params(4, 128));
+    const std::uint64_t count = out_n / 6;
+    auto target = [&](std::uint64_t i) { return i + 1 == count ? out_n - 1 : i * 6 + 1; };
+    auto flat = test::random_records(count * 4, 3);
+    ExtArray a = client.alloc_blocks(count, Client::Init::kUninit);
+    client.poke(a, flat);
+    ExtArray spread = expand_blocks(client, a, count, out_n, target);
+    auto got = client.peek(spread);
+    for (std::uint64_t i = 0; i < count; ++i)
+      EXPECT_EQ(got[target(i) * 4], flat[i * 4]) << "out_n=" << out_n << " i=" << i;
+    TightCompactResult back = tight_compact_blocks(client, spread, block_nonempty_pred());
+    EXPECT_EQ(back.occupied, count);
+    got = client.peek(back.out);
+    got.resize(count * 4);
+    EXPECT_EQ(got, flat) << "out_n=" << out_n;
+  }
 }
 
 TEST(Butterfly, IoMatchesLogOverLogShape) {
@@ -175,15 +182,58 @@ TEST(Butterfly, IoMatchesLogOverLogShape) {
   EXPECT_LT(small_m, 10 * butterfly_predicted_ios(256, 16));
 }
 
+TEST(Butterfly, MeasuredIoEqualsPrediction) {
+  // The cost model is exact for the trimmed network, at power-of-two sizes
+  // and just past them, under a cache with one level per super-level (m=16)
+  // and one with five (m=256).
+  for (std::uint64_t M : {64ull, 1024ull}) {
+    for (std::uint64_t n : {1ull, 1024ull, 1025ull, 1037ull, 8193ull}) {
+      Client client(test::params(4, M));
+      ExtArray a = client.alloc_blocks(n, Client::Init::kUninit);
+      client.poke(a, patterned(n, 4, 3, 1));
+      client.reset_stats();
+      tight_compact_blocks(client, a, block_nonempty_pred());
+      EXPECT_EQ(client.stats().total(), butterfly_predicted_ios(n, client.m()))
+          << "n=" << n << " m=" << client.m();
+    }
+  }
+}
+
+TEST(Butterfly, DenseExpansionNeverCollides) {
+  // Dense random targets at every size up to 80 cells: expansion must undo
+  // a compaction level by level (MSB first), or cells collide mid-network.
+  for (std::uint64_t M : {32ull, 64ull}) {
+    for (std::uint64_t n = 2; n <= 80; ++n) {
+      Client client(test::params(2, M));
+      rng::Xoshiro g(n * 7 + M);
+      std::vector<std::uint64_t> targets;
+      for (std::uint64_t b = 0; b < n; ++b)
+        if (g.bernoulli(0.85)) targets.push_back(b);
+      const std::uint64_t count = targets.size();
+      const auto flat = test::random_records(count * 2, n);
+      ExtArray a = client.alloc_blocks(count, Client::Init::kUninit);
+      client.poke(a, flat);
+      ExtArray out = expand_blocks(client, a, count, n,
+                                   [&](std::uint64_t i) { return targets[i]; });
+      const auto got = client.peek(out);
+      for (std::uint64_t i = 0; i < count; ++i)
+        EXPECT_EQ(got[targets[i] * 2], flat[i * 2]) << "n=" << n << " M=" << M;
+    }
+  }
+}
+
 TEST(Butterfly, IsOblivious) {
-  auto result = obliv::check_oblivious(
-      test::params(4, 64), 256, obliv::canonical_inputs(6),
-      [](Client& c, const ExtArray& a) {
-        tight_compact_blocks(c, a, [](std::uint64_t, const BlockBuf& blk) {
-          return !blk[0].is_empty() && blk[0].key % 2 == 0;
+  // 64 blocks, and 37 / 65 blocks (not powers of two).
+  for (std::uint64_t records : {256ull, 148ull, 260ull}) {
+    auto result = obliv::check_oblivious(
+        test::params(4, 64), records, obliv::canonical_inputs(6),
+        [](Client& c, const ExtArray& a) {
+          tight_compact_blocks(c, a, [](std::uint64_t, const BlockBuf& blk) {
+            return !blk[0].is_empty() && blk[0].key % 2 == 0;
+          });
         });
-      });
-  EXPECT_TRUE(result.oblivious) << result.diagnosis;
+    EXPECT_TRUE(result.oblivious) << "records=" << records << ": " << result.diagnosis;
+  }
 }
 
 TEST(Butterfly, ExpansionIsOblivious) {

@@ -95,7 +95,14 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ExtSortCase{4, 32, 64}, ExtSortCase{4, 32, 61},
                       ExtSortCase{8, 64, 512}, ExtSortCase{8, 64, 500},
                       ExtSortCase{16, 256, 4096}, ExtSortCase{4, 8, 128},
-                      ExtSortCase{1, 4, 64}, ExtSortCase{16, 512, 10000}));
+                      ExtSortCase{1, 4, 64}, ExtSortCase{16, 512, 10000},
+                      ExtSortCase{4, 32, 256},   // 16 runs
+                      // Run counts that are not powers of two (B=4, m=8:
+                      // runs of 4 blocks = 16 records).
+                      ExtSortCase{4, 32, 48},    // 3 runs
+                      ExtSortCase{4, 32, 144},   // 9 runs
+                      ExtSortCase{4, 32, 195},   // 13 runs, last run 1 block
+                      ExtSortCase{4, 32, 784})); // 49 runs
 
 TEST(ExtSort, EmptiesCollectAtEnd) {
   Client client(test::params(4, 32));
@@ -115,24 +122,14 @@ TEST(ExtSort, EmptiesCollectAtEnd) {
   }
 }
 
-TEST(ExtSort, OddEvenVariantSorts) {
-  Client client(test::params(4, 32));
-  ExtArray a = client.alloc(256, Client::Init::kUninit);
-  auto v = test::random_records(256, 3);
-  client.poke(a, v);
-  ExtSortOptions opts;
-  opts.odd_even = true;
-  ext_oblivious_sort(client, a, opts);
-  auto out = client.peek(a);
-  EXPECT_TRUE(test::same_multiset(out, v));
-  EXPECT_TRUE(test::padded_sorted(out));
-}
-
 TEST(ExtSort, IsOblivious) {
-  auto result = obliv::check_oblivious(
-      test::params(4, 64), 256, obliv::canonical_inputs(2),
-      [](Client& c, const ExtArray& a) { ext_oblivious_sort(c, a); });
-  EXPECT_TRUE(result.oblivious) << result.diagnosis;
+  // 64 blocks = 8 runs of 8; 75 blocks = 10 runs, the last one 3 blocks.
+  for (std::uint64_t records : {256ull, 300ull}) {
+    auto result = obliv::check_oblivious(
+        test::params(4, 64), records, obliv::canonical_inputs(2),
+        [](Client& c, const ExtArray& a) { ext_oblivious_sort(c, a); });
+    EXPECT_TRUE(result.oblivious) << "records=" << records << ": " << result.diagnosis;
+  }
 }
 
 TEST(ExtSort, GrowthIsPolylogOverLinear) {
@@ -165,6 +162,29 @@ TEST(UnitSort, SortsUnitsByFirstRecord) {
   for (std::uint64_t u = 0; u < units; ++u) {
     EXPECT_EQ(out[u * 8 + 0].key, u + 1);            // sorted headers
     EXPECT_EQ(out[u * 8 + 4].value, out[u * 8].value);  // payload stayed attached
+  }
+}
+
+TEST(UnitSort, NonPowerOfTwoUnitCount) {
+  // m = 16: runs of 4 two-block units, so 37 units make 10 runs, the last
+  // one a single unit.
+  Client client(test::params(4, 64));
+  const std::uint64_t units = 37, ub = 2;
+  ExtArray a = client.alloc_blocks(units * ub, Client::Init::kUninit);
+  std::vector<Record> flat(units * ub * 4);
+  for (std::uint64_t u = 0; u < units; ++u) {
+    flat[u * 8 + 0] = {(u * 17) % units, u};
+    flat[u * 8 + 4] = {777, u};
+  }
+  client.poke(a, flat);
+  client.reset_stats();
+  ext_oblivious_unit_sort(client, a, ub);
+  // Unit sort and block sort share the run network, hence the cost model.
+  EXPECT_EQ(client.stats().total(), ext_sort_predicted_ios(units * ub, client.m()));
+  auto out = client.peek(a);
+  for (std::uint64_t u = 0; u < units; ++u) {
+    EXPECT_EQ(out[u * 8 + 0].key, u);
+    EXPECT_EQ(out[u * 8 + 4].value, out[u * 8].value);
   }
 }
 
