@@ -32,23 +32,18 @@ class ArenaScratchGuard {
   std::uint64_t watermark_;
 };
 
-}  // namespace
-
-// Backend failures surface as exceptions below the algorithm layer (see
-// device.cc); the facade converts them back into Status so callers get a
-// Result instead of a crash.  The IntegrityError/TimeoutError catches must
-// come FIRST at every site: both are-a runtime_error, and mapping either to
-// kIo would lose its meaning -- kIntegrity must fail closed, unretried, at
-// the API boundary, and kTimeout must stay distinguishable from a failed
-// disk so callers can tell a dead peer from a bad sector.
-
-// ---------------------------------------------------------------------------
-// Oram handle.
-
-Result<std::uint64_t> Oram::access(std::uint64_t index) {
-  std::uint64_t value = 0;
+/// Backend failures surface as exceptions below the algorithm layer (see
+/// device.cc); every facade entry point that touches storage runs its body
+/// through here so callers get a Result instead of a crash.  The
+/// IntegrityError/TimeoutError catches must come FIRST: both are-a
+/// runtime_error, and mapping either to kIo would lose its meaning --
+/// kIntegrity must fail closed, unretried, at the API boundary, and kTimeout
+/// must stay distinguishable from a failed disk so callers can tell a dead
+/// peer from a bad sector.
+template <class F>
+auto guarded(F&& f) -> decltype(f()) {
   try {
-    value = impl_->access(index);
+    return f();
   } catch (const IntegrityError& e) {
     return Status::Integrity(e.what());
   } catch (const TimeoutError& e) {
@@ -56,8 +51,19 @@ Result<std::uint64_t> Oram::access(std::uint64_t index) {
   } catch (const std::runtime_error& e) {
     return Status::Io(e.what());
   }
-  if (!impl_->status().ok()) return impl_->status();
-  return value;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Oram handle.
+
+Result<std::uint64_t> Oram::access(std::uint64_t index) {
+  return guarded([&]() -> Result<std::uint64_t> {
+    const std::uint64_t value = impl_->access(index);
+    if (!impl_->status().ok()) return impl_->status();
+    return value;
+  });
 }
 
 std::uint64_t Oram::expected_value(std::uint64_t index) const {
@@ -132,13 +138,6 @@ Session::Builder& Session::Builder::pipeline_depth(std::size_t k) {
 
 Session::Builder& Session::Builder::compute_threads(std::size_t n) {
   params_.compute_threads = n;
-  return *this;
-}
-
-Session::Builder& Session::Builder::encrypted(Word key, bool authenticated) {
-  encrypted_ = true;
-  encrypted_auth_ = authenticated;
-  encryption_key_ = key;
   return *this;
 }
 
@@ -293,24 +292,21 @@ Result<Session> Session::Builder::build() const {
   // Builder::cache): per-shard base stores (remote shards get their own
   // store namespace + connection; each optionally wrapped INNERMOST in a
   // TamperingBackend -- the malicious server mutates what the base store
-  // serves, so the encryption/authentication seam above it is what must
-  // catch the lie -- then optionally re-encrypted at the seam, then
-  // optionally wrapped in a FaultyBackend with its own sub-seed, so
-  // failures hit individual shards), striping, one latency model over the
-  // striped store (lanes = k, the parallel-disk model: simulated round
-  // trips to different shards overlap by construction), the write-back
-  // cache above everything that costs a round trip, async submission --
-  // async(cache(latency(sharded(faulty(encrypted(tamper(base))) x k)))).
+  // serves, so the Client's MAC above the whole stack is what must catch
+  // the lie -- then optionally wrapped in a FaultyBackend with its own
+  // sub-seed, so failures hit individual shards), striping, one latency
+  // model over the striped store (lanes = k, the parallel-disk model:
+  // simulated round trips to different shards overlap by construction), the
+  // write-back cache above everything that costs a round trip, async
+  // submission -- async(cache(latency(sharded(faulty(tamper(base)) x k)))).
   ShardFactory per_shard =
       [storage = storage_, file_opts = file_opts_, custom = custom_,
        host = remote_host_, port = remote_port_, store_namespace,
        shards = shards_, inject = inject_faults_, fault = fault_profile_,
        tamper = tamper_, tamper_profile = tamper_profile_,
-       encrypted = encrypted_, encrypted_auth = encrypted_auth_,
        direct = direct_io_, io_deadline = io_deadline_ms_,
-       auth_key = wire_auth_key_,
-       key = encryption_key_](std::size_t block_words,
-                              std::size_t shard) -> std::unique_ptr<StorageBackend> {
+       auth_key = wire_auth_key_](std::size_t block_words,
+                                  std::size_t shard) -> std::unique_ptr<StorageBackend> {
     BackendFactory base;
     switch (storage) {
       case Storage::kFile: {
@@ -353,7 +349,6 @@ Result<Session> Session::Builder::build() const {
           rng::mix64(tamper_profile.seed ^ (0x9e3779b97f4a7c15ULL * (shard + 1)));
       base = tampering_backend(std::move(base), p);
     }
-    if (encrypted) base = encrypted_backend(std::move(base), key, encrypted_auth);
     if (inject) {
       FaultProfile p = fault;
       p.seed = rng::mix64(fault.seed ^ (0x9e3779b97f4a7c15ULL * (shard + 1)));
@@ -398,31 +393,17 @@ std::uint64_t Session::next_seed(std::uint64_t requested) {
 }
 
 Result<ExtArray> Session::outsource(std::span<const Record> records) {
-  try {
+  return guarded([&]() -> Result<ExtArray> {
     ExtArray a = client_->alloc(records.size(), Client::Init::kUninit);
     client_->poke(a, records);
     return a;
-  } catch (const IntegrityError& e) {
-    return Status::Integrity(e.what());
-  } catch (const TimeoutError& e) {
-    return Status::Timeout(e.what());
-  } catch (const std::runtime_error& e) {
-    return Status::Io(e.what());
-  }
+  });
 }
 
 Result<std::vector<Record>> Session::retrieve(const ExtArray& a) const {
   if (!a.valid() && a.num_records() > 0)
     return Status::InvalidArgument("retrieve: invalid array handle");
-  try {
-    return client_->peek(a);
-  } catch (const IntegrityError& e) {
-    return Status::Integrity(e.what());
-  } catch (const TimeoutError& e) {
-    return Status::Timeout(e.what());
-  } catch (const std::runtime_error& e) {
-    return Status::Io(e.what());
-  }
+  return guarded([&]() -> Result<std::vector<Record>> { return client_->peek(a); });
 }
 
 Status Session::discard(const ExtArray& a) {
@@ -434,15 +415,9 @@ Status Session::discard(const ExtArray& a) {
 Result<std::vector<Word>> Session::raw_block(const ExtArray& a, std::uint64_t i) const {
   if (!a.valid() || i >= a.num_blocks())
     return Status::InvalidArgument("raw_block: block index out of range");
-  try {
+  return guarded([&]() -> Result<std::vector<Word>> {
     return client_->device().raw(a.device_block(i));
-  } catch (const IntegrityError& e) {
-    return Status::Integrity(e.what());
-  } catch (const TimeoutError& e) {
-    return Status::Timeout(e.what());
-  } catch (const std::runtime_error& e) {
-    return Status::Io(e.what());
-  }
+  });
 }
 
 Result<SortReport> Session::sort(const ExtArray& a, std::uint64_t seed,
@@ -450,21 +425,15 @@ Result<SortReport> Session::sort(const ExtArray& a, std::uint64_t seed,
   if (!a.valid()) return Status::InvalidArgument("sort: invalid array handle");
   const std::uint64_t before = client_->stats().total();
   ArenaScratchGuard scratch(client_->device());
-  core::ObliviousSortResult res;
-  try {
-    res = core::oblivious_sort(*client_, a, next_seed(seed), opts);
-  } catch (const IntegrityError& e) {
-    return Status::Integrity(e.what());
-  } catch (const TimeoutError& e) {
-    return Status::Timeout(e.what());
-  } catch (const std::runtime_error& e) {
-    return Status::Io(e.what());
-  }
-  if (!res.status.ok()) return res.status;
-  SortReport report;
-  report.stats = res.stats;
-  report.ios = client_->stats().total() - before;
-  return report;
+  return guarded([&]() -> Result<SortReport> {
+    core::ObliviousSortResult res =
+        core::oblivious_sort(*client_, a, next_seed(seed), opts);
+    if (!res.status.ok()) return res.status;
+    SortReport report;
+    report.stats = res.stats;
+    report.ios = client_->stats().total() - before;
+    return report;
+  });
 }
 
 Result<Record> Session::select(const ExtArray& a, std::uint64_t k, std::uint64_t seed,
@@ -473,18 +442,12 @@ Result<Record> Session::select(const ExtArray& a, std::uint64_t k, std::uint64_t
   if (k < 1 || k > a.num_records())
     return Status::InvalidArgument("select: rank k must be in [1, N]");
   ArenaScratchGuard scratch(client_->device());
-  core::SelectResult res;
-  try {
-    res = core::oblivious_select(*client_, a, k, next_seed(seed), opts);
-  } catch (const IntegrityError& e) {
-    return Status::Integrity(e.what());
-  } catch (const TimeoutError& e) {
-    return Status::Timeout(e.what());
-  } catch (const std::runtime_error& e) {
-    return Status::Io(e.what());
-  }
-  if (!res.status.ok()) return res.status;
-  return res.value;
+  return guarded([&]() -> Result<Record> {
+    core::SelectResult res =
+        core::oblivious_select(*client_, a, k, next_seed(seed), opts);
+    if (!res.status.ok()) return res.status;
+    return res.value;
+  });
 }
 
 Result<std::vector<Record>> Session::quantiles(const ExtArray& a, std::uint64_t q,
@@ -494,24 +457,18 @@ Result<std::vector<Record>> Session::quantiles(const ExtArray& a, std::uint64_t 
   if (q < 1 || q >= a.num_records())  // q+1 <= N, written overflow-safe
     return Status::InvalidArgument("quantiles: need 1 <= q and q+1 <= N");
   ArenaScratchGuard scratch(client_->device());
-  core::QuantilesResult res;
-  try {
-    res = core::oblivious_quantiles(*client_, a, q, next_seed(seed), opts);
-  } catch (const IntegrityError& e) {
-    return Status::Integrity(e.what());
-  } catch (const TimeoutError& e) {
-    return Status::Timeout(e.what());
-  } catch (const std::runtime_error& e) {
-    return Status::Io(e.what());
-  }
-  if (!res.status.ok()) return res.status;
-  return std::move(res.quantiles);
+  return guarded([&]() -> Result<std::vector<Record>> {
+    core::QuantilesResult res =
+        core::oblivious_quantiles(*client_, a, q, next_seed(seed), opts);
+    if (!res.status.ok()) return res.status;
+    return std::move(res.quantiles);
+  });
 }
 
 Result<CompactReport> Session::compact(const ExtArray& a) {
   if (!a.valid()) return Status::InvalidArgument("compact: invalid array handle");
   const std::uint64_t before = client_->stats().total();
-  try {
+  return guarded([&]() -> Result<CompactReport> {
     const std::size_t B = client_->B();
     const std::uint64_t n1 = a.num_blocks() + 1;
     // The result array is allocated before the scratch so that the scratch
@@ -548,30 +505,18 @@ Result<CompactReport> Session::compact(const ExtArray& a) {
     report.out = ExtArray(result.extent(), cons.distinguished, B);
     report.ios = client_->stats().total() - before;
     return report;
-  } catch (const IntegrityError& e) {
-    return Status::Integrity(e.what());
-  } catch (const TimeoutError& e) {
-    return Status::Timeout(e.what());
-  } catch (const std::runtime_error& e) {
-    return Status::Io(e.what());
-  }
+  });
 }
 
 Result<Oram> Session::open_oram(std::uint64_t n_items, oram::ShuffleKind kind,
                                 std::uint64_t seed) {
   if (n_items < 1) return Status::InvalidArgument("open_oram: need n_items >= 1");
-  try {
+  return guarded([&]() -> Result<Oram> {
     auto impl = std::make_unique<oram::SqrtOram>(*client_, n_items, kind,
                                                  next_seed(seed));
     if (!impl->status().ok()) return impl->status();
     return Oram(std::move(impl));
-  } catch (const IntegrityError& e) {
-    return Status::Integrity(e.what());
-  } catch (const TimeoutError& e) {
-    return Status::Timeout(e.what());
-  } catch (const std::runtime_error& e) {
-    return Status::Io(e.what());
-  }
+  });
 }
 
 }  // namespace oem

@@ -328,11 +328,18 @@ Status DirectFileBackend::setup_direct_path(std::size_t queue_depth,
   // End-to-end probe: one slot written and read back through the ring, so a
   // filesystem that accepted O_DIRECT at open but rejects it per-op (or a
   // ring the kernel rejects per-op, e.g. seccomp) falls back here and never
-  // mid-workload.
+  // mid-workload.  The probe slot is the first one past the file's current
+  // end, and the file is cut back to that end afterwards, so a preserved
+  // (keep_file) store's blocks survive the probe untouched.
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) return Status::Io(errno_string("fstat", path_));
+  const off_t kept = st.st_size;
+  const std::uint64_t probe = (static_cast<std::uint64_t>(kept) + slot_bytes_ - 1) /
+                              slot_bytes_;
   const std::size_t slot_words = slot_bytes_ / sizeof(Word);
-  if (::ftruncate(fd_, static_cast<off_t>(slot_bytes_)) != 0)
+  if (::ftruncate(fd_, static_cast<off_t>((probe + 1) * slot_bytes_)) != 0)
     return Status::Io(errno_string("ftruncate", path_));
-  const std::uint64_t ids[1] = {0};
+  const std::uint64_t ids[1] = {probe};
   Frame wf;
   wf.serial = next_frame_serial_++;
   wf.is_read = false;
@@ -353,7 +360,7 @@ Status DirectFileBackend::setup_direct_path(std::size_t queue_depth,
   for (std::size_t w = 0; w < slot_words; ++w)
     if (rf.bounce[w] != (0x9e3779b97f4a7c15ULL ^ w))
       return Status::Io("io_uring O_DIRECT probe read back wrong bytes");
-  if (::ftruncate(fd_, 0) != 0) return Status::Io(errno_string("ftruncate", path_));
+  if (::ftruncate(fd_, kept) != 0) return Status::Io(errno_string("ftruncate", path_));
   return Status::Ok();
 }
 

@@ -19,8 +19,10 @@
 //
 // This is NOT a real cipher or a real MAC; it exists so the simulation has
 // genuine "Bob cannot read contents" and "Bob cannot forge contents" code
-// paths (DESIGN.md substitution #2).  All obliviousness guarantees in this
-// library are about access patterns only.
+// paths.  It stands in for the paper's assumed semantically secure scheme
+// because a real AEAD would add a crypto dependency without changing a
+// single access: all obliviousness guarantees in this library are about
+// access patterns only.
 #pragma once
 
 #include <cstdint>

@@ -45,7 +45,7 @@
 //     overlap.  Session::Builder and bench_common always compose it last.
 //
 //     When the inner backend supports split-phase I/O (max_inflight() > 1 --
-//     a RemoteBackend, possibly under an EncryptedBackend), the I/O thread
+//     a RemoteBackend, possibly under a CachingBackend), the I/O thread
 //     keeps up to that many ops begun-but-incomplete at once instead of
 //     waiting out each round trip: requests stream onto the wire and
 //     responses are completed strictly in submission order, so the FIFO
@@ -435,10 +435,10 @@ struct TamperProfile {
 };
 
 /// Decorator mounting the TamperProfile's attacks behind the StorageBackend
-/// seam.  Compose it INNERMOST (directly over the base store, UNDER
-/// EncryptedBackend/Client crypto), where the paper's malicious Bob lives:
-/// it mutates ciphertext at rest / in flight, and the authenticated
-/// encryption layer above must convert every mutation into a clean
+/// seam.  Compose it INNERMOST (directly over the base store, under every
+/// other decorator), where the paper's malicious Bob lives: it mutates
+/// ciphertext at rest / in flight, and the Client's per-block MAC above
+/// the whole stack must convert every mutation into a clean
 /// StatusCode::kIntegrity failure -- never silent corruption, and never a
 /// retry (RetryPolicy only retries kIo).  Session::Builder::tampering wraps
 /// each shard's base store with a distinct sub-seed, like fault_injection.
@@ -628,10 +628,9 @@ SharedCacheHandle make_shared_cache(std::size_t capacity_blocks,
 /// writes to uncached blocks) as one in-flight inner frame; residency only
 /// changes on the synchronous path, so recovery-by-replay stays trivial.
 ///
-/// Placement (Session::Builder::cache enforces this order): ABOVE encryption
-/// (the cache must hold each plaintext block exactly once -- an
-/// EncryptedBackend over a CachingBackend is rejected at health()) and above
+/// Placement (Session::Builder::cache composes this order): above
 /// latency/sharding/remote, so a hit costs no round trip, simulated or real.
+/// It caches the Client's sealed blocks, one copy each.
 /// `capacity_blocks` must be >= 1; 0 is rejected at health().
 ///
 /// Failure semantics: writes are atomic-by-rejection like every other

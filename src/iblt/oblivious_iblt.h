@@ -22,7 +22,9 @@
 //       extraction -> dedupe -> update generation -> sorted apply with
 //       last-of-group selection).  This replaces the paper's "simulate
 //       listEntries under ORAM" step with a decoder whose accesses are
-//       themselves input-independent (DESIGN.md substitution #3).
+//       themselves input-independent, because a fixed-round sort-based
+//       peel reaches the same output without paying an ORAM's polylog
+//       overhead on every decode access.
 #pragma once
 
 #include <cstdint>

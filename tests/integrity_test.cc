@@ -166,102 +166,99 @@ TEST(TamperingBackend, SplitPhaseDropsAtBeginAndMutatesAtCompletion) {
 }
 
 // ---------------------------------------------------------------------------
-// EncryptedBackend in authenticated mode: every attack class becomes a clean
-// kIntegrity at the read that observes it.
+// The Client's seal: every stored block is [nonce][mac][ciphertext], the MAC
+// binding the device block index, the nonce and a client-side version
+// counter.  Every attack class becomes a clean IntegrityError at the read
+// that observes it.  The attacks go straight at the stored words through
+// the device's uncounted raw path.
 
-constexpr std::size_t kAuthBw = 4;
+constexpr std::size_t kSealB = 2;  // records per block: 2 + 2*2 stored words
 
-std::unique_ptr<StorageBackend> auth_backend_over_mem(EncryptedBackend** out) {
-  auto backend = encrypted_backend(mem_backend(), 0x5eedULL,
-                                   /*authenticated=*/true)(kAuthBw);
-  *out = dynamic_cast<EncryptedBackend*>(backend.get());
-  return backend;
-}
-
-TEST(AuthenticatedBackend, RoundTripsAndServesNeverWrittenAsZero) {
-  EncryptedBackend* enc = nullptr;
-  auto backend = auth_backend_over_mem(&enc);
-  ASSERT_NE(enc, nullptr);
-  EXPECT_EQ(enc->header_words(), 2u);  // [nonce][mac]
-  ASSERT_TRUE(backend->resize(4).ok());
-  std::vector<Word> out(kAuthBw, 7);
-  ASSERT_TRUE(backend->read(1, out).ok());
-  EXPECT_EQ(out, std::vector<Word>(kAuthBw, 0)) << "never-written reads as zero";
-  const std::vector<Word> data = {10, 20, 30, 40};
-  ASSERT_TRUE(backend->write(1, data).ok());
-  ASSERT_TRUE(backend->read(1, out).ok());
+TEST(ClientSeal, RoundTripsAndServesNeverWrittenAsZero) {
+  Client client(test::params(kSealB, 16));
+  EXPECT_EQ(client.device().block_words(),
+            kBlockHeaderWords + kSealB * kWordsPerRecord);  // [nonce][mac]
+  const ExtArray a = client.alloc(4 * kSealB, Client::Init::kUninit);
+  BlockBuf out;
+  client.read_block(a, 1, out);
+  EXPECT_EQ(out, BlockBuf(kSealB, Record{0, 0})) << "never-written reads as zero";
+  const BlockBuf data = {{10, 20}, {30, 40}};
+  client.write_block(a, 1, data);
+  client.read_block(a, 1, out);
   EXPECT_EQ(out, data);
+  // Any bytes other than all-zero in a block the client never wrote were
+  // fabricated by the server.
+  std::vector<Word> forged(client.device().block_words(), 0);
+  forged.back() = 1;
+  client.device().write_raw(a.device_block(3), forged);
+  EXPECT_THROW(client.read_block(a, 3, out), IntegrityError);
 }
 
-TEST(AuthenticatedBackend, BitFlipInStoredCiphertextIsIntegrity) {
-  EncryptedBackend* enc = nullptr;
-  auto backend = auth_backend_over_mem(&enc);
-  ASSERT_TRUE(backend->resize(4).ok());
-  ASSERT_TRUE(backend->write(0, std::vector<Word>{1, 2, 3, 4}).ok());
+TEST(ClientSeal, BitFlipInEveryStoredWordIsIntegrity) {
+  Client client(test::params(kSealB, 16));
+  const ExtArray a = client.alloc(4 * kSealB, Client::Init::kUninit);
+  const BlockBuf data = {{1, 2}, {3, 4}};
+  client.write_block(a, 0, data);
+  BlockDevice& dev = client.device();
+  const std::uint64_t blk = a.device_block(0);
   // Flip one bit of each stored word in turn -- header or payload, any
   // single-bit mutation must be caught.
-  const std::size_t stored = kAuthBw + enc->header_words();
-  for (std::size_t w = 0; w < stored; ++w) {
-    std::vector<Word> raw(stored);
-    ASSERT_TRUE(enc->inner().read(0, raw).ok());
-    raw[w] ^= Word{1} << (w % 64);
-    ASSERT_TRUE(enc->inner().write(0, raw).ok());
-    std::vector<Word> out(kAuthBw);
-    EXPECT_EQ(backend->read(0, out).code(), StatusCode::kIntegrity)
+  const std::vector<Word> good = dev.raw(blk);
+  for (std::size_t w = 0; w < good.size(); ++w) {
+    std::vector<Word> bad = good;
+    bad[w] ^= Word{1} << (w % 64);
+    dev.write_raw(blk, bad);
+    BlockBuf out;
+    EXPECT_THROW(client.read_block(a, 0, out), IntegrityError)
         << "flip in stored word " << w << " went undetected";
-    raw[w] ^= Word{1} << (w % 64);  // restore for the next round
-    ASSERT_TRUE(enc->inner().write(0, raw).ok());
+    dev.write_raw(blk, good);  // restore for the next round
   }
-  std::vector<Word> out(kAuthBw);
-  EXPECT_TRUE(backend->read(0, out).ok()) << "restored block must verify again";
+  BlockBuf out;
+  client.read_block(a, 0, out);
+  EXPECT_EQ(out, data) << "restored block must verify again";
 }
 
-TEST(AuthenticatedBackend, ReplayOfAStaleSnapshotIsIntegrity) {
+TEST(ClientSeal, ReplayOfAStaleSnapshotIsIntegrity) {
   // The rollback attack: Bob serves an old (ciphertext, nonce, MAC) triple
   // that was once valid.  Only the client-side version counter folded into
   // the tag can catch it.
-  EncryptedBackend* enc = nullptr;
-  auto backend = auth_backend_over_mem(&enc);
-  ASSERT_TRUE(backend->resize(4).ok());
-  ASSERT_TRUE(backend->write(2, std::vector<Word>{5, 5, 5, 5}).ok());
-  const std::size_t stored = kAuthBw + enc->header_words();
-  std::vector<Word> snapshot(stored);
-  ASSERT_TRUE(enc->inner().read(2, snapshot).ok());  // valid at version 1
-  ASSERT_TRUE(backend->write(2, std::vector<Word>{6, 6, 6, 6}).ok());
-  ASSERT_TRUE(enc->inner().write(2, snapshot).ok());  // roll back to v1
-  std::vector<Word> out(kAuthBw);
-  EXPECT_EQ(backend->read(2, out).code(), StatusCode::kIntegrity)
+  Client client(test::params(kSealB, 16));
+  const ExtArray a = client.alloc(4 * kSealB, Client::Init::kUninit);
+  const std::uint64_t blk = a.device_block(2);
+  client.write_block(a, 2, BlockBuf{{5, 5}, {5, 5}});
+  const std::vector<Word> snapshot = client.device().raw(blk);  // valid at v1
+  client.write_block(a, 2, BlockBuf{{6, 6}, {6, 6}});
+  client.device().write_raw(blk, snapshot);  // roll back to v1
+  BlockBuf out;
+  EXPECT_THROW(client.read_block(a, 2, out), IntegrityError)
       << "a replayed stale-but-once-valid block must fail freshness";
 }
 
-TEST(AuthenticatedBackend, DroppedWriteIsIntegrityOnReadBack) {
+TEST(ClientSeal, DroppedWriteIsIntegrityOnReadBack) {
   // Rollback via TamperingBackend underneath: the write is ACKed but never
   // lands, so the store still holds the never-written sentinel while the
   // client-side version table says "sealed once".
-  auto backend = encrypted_backend(
-      tampering_backend(mem_backend(), rollback_only(11, 1.0)), 0x5eedULL,
-      /*authenticated=*/true)(kAuthBw);
-  ASSERT_TRUE(backend->resize(4).ok());
-  ASSERT_TRUE(backend->write(0, std::vector<Word>{9, 9, 9, 9}).ok());
-  std::vector<Word> out(kAuthBw);
-  EXPECT_EQ(backend->read(0, out).code(), StatusCode::kIntegrity);
+  ClientParams p = test::params(kSealB, 16);
+  p.backend = tampering_backend(mem_backend(), rollback_only(11, 1.0));
+  Client client(p);
+  const ExtArray a = client.alloc(4 * kSealB, Client::Init::kUninit);
+  client.write_block(a, 0, BlockBuf{{9, 9}, {9, 9}});
+  BlockBuf out;
+  EXPECT_THROW(client.read_block(a, 0, out), IntegrityError);
 }
 
-TEST(AuthenticatedBackend, BlockTransplantIsIntegrity) {
+TEST(ClientSeal, BlockTransplantIsIntegrity) {
   // Bob serves block 0's (valid!) sealed bytes for block 1: the index baked
   // into the tag catches the transplant.
-  EncryptedBackend* enc = nullptr;
-  auto backend = auth_backend_over_mem(&enc);
-  ASSERT_TRUE(backend->resize(4).ok());
-  ASSERT_TRUE(backend->write(0, std::vector<Word>{1, 1, 1, 1}).ok());
-  ASSERT_TRUE(backend->write(1, std::vector<Word>{2, 2, 2, 2}).ok());
-  const std::size_t stored = kAuthBw + enc->header_words();
-  std::vector<Word> raw(stored);
-  ASSERT_TRUE(enc->inner().read(0, raw).ok());
-  ASSERT_TRUE(enc->inner().write(1, raw).ok());
-  std::vector<Word> out(kAuthBw);
-  EXPECT_EQ(backend->read(1, out).code(), StatusCode::kIntegrity);
-  EXPECT_TRUE(backend->read(0, out).ok()) << "the untouched block still verifies";
+  Client client(test::params(kSealB, 16));
+  const ExtArray a = client.alloc(4 * kSealB, Client::Init::kUninit);
+  client.write_block(a, 0, BlockBuf{{1, 1}, {1, 1}});
+  client.write_block(a, 1, BlockBuf{{2, 2}, {2, 2}});
+  BlockDevice& dev = client.device();
+  dev.write_raw(a.device_block(1), dev.raw(a.device_block(0)));
+  BlockBuf out;
+  EXPECT_THROW(client.read_block(a, 1, out), IntegrityError);
+  EXPECT_NO_THROW(client.read_block(a, 0, out)) << "the untouched block still verifies";
 }
 
 // ---------------------------------------------------------------------------
@@ -271,18 +268,44 @@ TEST(AuthenticatedBackend, BlockTransplantIsIntegrity) {
 // through -- zero retries burned, IntegrityError (not the generic kIo path)
 // surfacing from the device.
 
+/// A store that reports every read as a failed authentication, as a store
+/// verifying what it serves would on tampering.
+class IntegrityFailingBackend : public MemBackend {
+ public:
+  using MemBackend::MemBackend;
+  int reads = 0;
+
+ protected:
+  Status do_read(std::uint64_t, std::span<Word>) override { return fail(); }
+  Status do_read_many(std::span<const std::uint64_t>, std::span<Word>) override {
+    return fail();
+  }
+
+ private:
+  Status fail() {
+    ++reads;
+    return Status::Integrity("forged block");
+  }
+};
+
 TEST(RetryBypass, DeviceDoesNotRetryIntegrityFailures) {
-  BlockDevice dev(kAuthBw,
-                  encrypted_backend(
-                      tampering_backend(mem_backend(), corrupt_only(13, 1.0)),
-                      0x5eedULL, /*authenticated=*/true),
+  constexpr std::size_t kBw = 4;
+  IntegrityFailingBackend* store = nullptr;
+  BlockDevice dev(kBw,
+                  [&store](std::size_t bw) {
+                    auto b = std::make_unique<IntegrityFailingBackend>(bw);
+                    store = b.get();
+                    return b;
+                  },
                   RetryPolicy{8});
+  ASSERT_NE(store, nullptr);
   dev.allocate(4);
-  dev.write(0, std::vector<Word>(kAuthBw, 3));
-  std::vector<Word> out(kAuthBw);
+  dev.write(0, std::vector<Word>(kBw, 3));
+  std::vector<Word> out(kBw);
   EXPECT_THROW(dev.read(0, out), IntegrityError);
   EXPECT_EQ(dev.retries(), 0u)
       << "RetryPolicy burned attempts on a tampering proof";
+  EXPECT_EQ(store->reads, 1) << "the device re-asked the store";
 }
 
 TEST(RetryBypass, SessionSurfacesIntegrityWithZeroRetries) {
@@ -310,7 +333,7 @@ TEST(RetryBypass, SessionSurfacesIntegrityWithZeroRetries) {
 
 // ---------------------------------------------------------------------------
 // Algorithm-level conformance: 100 seeded trials per algorithm on the plain
-// stack (plus a smaller matrix on authenticated / sharded / cached stacks).
+// stack (plus a smaller matrix on sharded / cached stacks).
 // Exactly two outcomes are allowed per trial: identical output + identical
 // trace, or clean kIntegrity.  Anything else -- wrong output with Ok, a
 // crash, kIo, a burned retry -- is a conformance failure.
@@ -319,14 +342,14 @@ struct StackConfig {
   const char* name;
   std::size_t shards;
   std::uint64_t cache_blocks;
-  bool auth_seam;  // add the EncryptedBackend seam in authenticated mode
+  int trials;
 };
 
 constexpr StackConfig kStacks[] = {
-    {"plain", 1, 0, false},
-    {"auth_seam", 1, 0, true},
-    {"sharded4_auth", 4, 0, true},
-    {"cached_auth", 1, 16, true},
+    {"plain", 1, 0, 100},
+    {"sharded4", 4, 0, 20},
+    {"cached", 1, 16, 20},
+    {"sharded4_cached", 4, 16, 20},
 };
 
 Result<Session> build_session(const StackConfig& cfg, std::uint64_t tamper_seed,
@@ -335,7 +358,6 @@ Result<Session> build_session(const StackConfig& cfg, std::uint64_t tamper_seed,
   b.block_records(4).cache_records(64).seed(11).io_retries(4);
   if (cfg.shards > 1) b.sharded(cfg.shards);
   if (cfg.cache_blocks > 0) b.cache(cfg.cache_blocks);
-  if (cfg.auth_seam) b.encrypted(0x5eedULL, /*authenticated=*/true);
   if (rate > 0.0) b.tampering(tamper_seed, rate);
   return b.build();
 }
@@ -357,7 +379,7 @@ void run_tamper_trials(const char* what, AlgoFn&& algo) {
                           << " tamper-free run failed: " << ref;
     const std::uint64_t expected_trace = clean->trace().hash();
 
-    const int trials = cfg.shards == 1 && !cfg.auth_seam ? 100 : 20;
+    const int trials = cfg.trials;
     int completed = 0, detected = 0;
     for (int trial = 0; trial < trials; ++trial) {
       auto tampered = build_session(cfg, 5000 + trial, trial_rate(trial));

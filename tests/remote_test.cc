@@ -1,7 +1,7 @@
 // Remote block store suite: the wire protocol round-trips, per-store
 // namespacing, connection-drop recovery (kIo + reconnect under the device's
-// RetryPolicy), split-phase wire pipelining, and the EncryptedBackend
-// guarantee that the server only ever holds fresh ciphertext.
+// RetryPolicy), split-phase wire pipelining, and the Client-seal guarantee
+// that the server only ever holds fresh ciphertext.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -242,48 +242,67 @@ TEST(AsyncRemote, SubmittedOpsPipelineAndReplayAfterDrop) {
 }
 
 // ---------------------------------------------------------------------------
-// EncryptedBackend: the server only ever holds fresh ciphertext.
+// The Client's seal over the wire: the server only ever holds fresh
+// ciphertext, and blocks the client never wrote still read back as zero.
 
-TEST(EncryptedBackend, RewritingSamePlaintextYieldsFreshServerBytes) {
-  RemoteServer server;
+constexpr std::size_t kSealB = 2;  // records per block
+
+ClientParams remote_client_params(const RemoteServer& server,
+                                  std::uint64_t store_id) {
+  ClientParams p = test::params(kSealB, /*M=*/16);
   RemoteBackendOptions opts;
   opts.port = server.port();
-  opts.store_id = 9;
-  auto owner = encrypted_backend(remote_backend(opts), /*key=*/0x5eed)(kBw);
-  ASSERT_TRUE(owner->health().ok());
-  ASSERT_TRUE(owner->resize(4).ok());
+  opts.store_id = store_id;
+  p.backend = remote_backend(opts);
+  return p;
+}
 
-  const std::vector<Word> plain = pattern(2, 42);
-  ASSERT_TRUE(owner->write(2, plain).ok());
+TEST(ClientOverRemote, RewritingSamePlaintextYieldsFreshServerBytes) {
+  RemoteServer server;
+  Client client(remote_client_params(server, 9));
+  ASSERT_TRUE(client.device().backend().health().ok());
+  const ExtArray a = client.alloc(4 * kSealB, Client::Init::kUninit);
+  const std::uint64_t blk = a.device_block(2);
+
+  const BlockBuf plain = {{4201, 4202}, {4203, 4204}};
+  client.write_block(a, 2, plain);
   std::vector<Word> held1;
-  ASSERT_TRUE(server.peek_store(9, 2, &held1).ok());
-  ASSERT_TRUE(owner->write(2, plain).ok());  // same plaintext again
+  ASSERT_TRUE(server.peek_store(9, blk, &held1).ok());
+  client.write_block(a, 2, plain);  // same plaintext again
   std::vector<Word> held2;
-  ASSERT_TRUE(server.peek_store(9, 2, &held2).ok());
+  ASSERT_TRUE(server.peek_store(9, blk, &held2).ok());
 
-  EXPECT_EQ(held1.size(), kBw + 1) << "stored block = nonce header + payload";
+  ASSERT_EQ(held1.size(), kBlockHeaderWords + kSealB * kWordsPerRecord)
+      << "stored block = [nonce][mac] header + payload";
   EXPECT_NE(held1, held2) << "re-encryption of the same value must be fresh";
-  for (std::size_t i = 0; i < kBw; ++i) {
-    EXPECT_NE(held1[i + 1], plain[i]) << "server held plaintext word " << i;
-    EXPECT_NE(held2[i + 1], plain[i]) << "server held plaintext word " << i;
+  for (std::size_t r = 0; r < kSealB; ++r) {
+    for (const std::vector<Word>* held : {&held1, &held2}) {
+      const Word* payload = held->data() + kBlockHeaderWords + r * kWordsPerRecord;
+      EXPECT_NE(payload[0], plain[r].key) << "server held plaintext key " << r;
+      EXPECT_NE(payload[1], plain[r].value) << "server held plaintext value " << r;
+    }
   }
-  std::vector<Word> out(kBw);
-  ASSERT_TRUE(owner->read(2, out).ok());
+  BlockBuf out;
+  client.read_block(a, 2, out);
   EXPECT_EQ(out, plain) << "decryption must invert the seal";
 }
 
-TEST(EncryptedBackend, FreshBlocksStillReadAsZero) {
-  auto owner = encrypted_backend(nullptr, /*key=*/7)(kBw);
-  ASSERT_TRUE(owner->resize(4).ok());
-  std::vector<Word> out(kBw, 9);
-  ASSERT_TRUE(owner->read(3, out).ok());
-  for (Word w : out) EXPECT_EQ(w, 0u);
-  // Shrink-regrow must zero again (the inner nonce word resets to 0).
-  ASSERT_TRUE(owner->write(3, pattern(3)).ok());
-  ASSERT_TRUE(owner->resize(1).ok());
-  ASSERT_TRUE(owner->resize(4).ok());
-  ASSERT_TRUE(owner->read(3, out).ok());
-  for (Word w : out) EXPECT_EQ(w, 0u);
+TEST(ClientOverRemote, NeverWrittenAndRegrownBlocksReadAsZero) {
+  // The server zero-fills fresh storage and the client's version table says
+  // "never written", so those blocks open as all-zero-word records.
+  RemoteServer server;
+  Client client(remote_client_params(server, 10));
+  const std::vector<Record> zero(4 * kSealB, Record{0, 0});
+  const ExtArray a = client.alloc(4 * kSealB, Client::Init::kUninit);
+  EXPECT_EQ(client.peek(a), zero) << "never-written blocks";
+
+  // Shrink (LIFO release) then regrow: the server must re-zero the region and
+  // the client must forget the old versions, on both sides of the wire.
+  client.poke(a, test::iota_records(4 * kSealB));
+  client.release(a);
+  const ExtArray b = client.alloc(4 * kSealB, Client::Init::kUninit);
+  ASSERT_EQ(b.device_block(0), a.device_block(0));
+  EXPECT_EQ(client.peek(b), zero) << "shrunk-then-regrown blocks";
 }
 
 // ---------------------------------------------------------------------------
@@ -300,8 +319,7 @@ TEST(RemoteSession, SortsIdenticallyToMemAtDepth8) {
                        .cache_records(64)
                        .seed(5)
                        .pipeline_depth(8)
-                       .async_prefetch(remote == 1)
-                       .encrypted(0xfeedf00d);
+                       .async_prefetch(remote == 1);
     if (remote) builder.remote(server.host(), server.port());
     auto built = builder.build();
     ASSERT_TRUE(built.ok()) << built.status();

@@ -1,12 +1,18 @@
-// oem::Session facade tests: builder validation, Result<T> plumbing, and the
-// typed algorithm entry points on all three backends.
+// oem::Session facade tests: builder validation, Result<T> plumbing, the
+// typed algorithm entry points on all three backends, and every pair of
+// Builder options across a restart on the durable stores.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <functional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "api/session.h"
+#include "server/server.h"
 #include "test_util.h"
 
 namespace oem {
@@ -338,6 +344,136 @@ TEST(StatusType, IoCodeAndPrinting) {
   std::ostringstream os2;
   os2 << Status::WhpFailure("unlucky");
   EXPECT_EQ(os2.str(), "WHP_FAILURE: unlucky");
+}
+
+// ---------------------------------------------------------------------------
+// Restart combinations: for every pair of Builder options on both durable
+// stores, a session with a state file outsources, persists its freshness
+// state and dies; the rebuilt session must read the identical records back.
+// The only other allowed outcome is a kInvalidArgument from build() for a
+// pair the Builder documents as illegal (cache() with shared_cache(),
+// direct_io() off a file store, io_deadline_ms()/wire_auth() off a remote
+// one).  tampering() is left out: it is an attack harness with its own
+// matrix in integrity_test.
+
+constexpr Word kWireKey = 0x77;
+
+struct RestartOption {
+  const char* name;
+  std::function<void(Session::Builder&)> apply;
+  bool file_only = false;
+  bool remote_only = false;
+  bool keyed_server = false;  // needs the server holding kWireKey
+  int exclusive_group = 0;    // two options sharing a nonzero group conflict
+};
+
+std::vector<RestartOption> restart_options() {
+  LatencyProfile fast;
+  fast.per_op_ns = 1000;
+  fast.per_word_ns = 1;
+  fast.real_sleep = false;
+  return {
+      {"sharded2", [](Session::Builder& b) { b.sharded(2); }},
+      {"cache8", [](Session::Builder& b) { b.cache(8); }, false, false, false,
+       /*exclusive_group=*/1},
+      {"shared_cache32",
+       [](Session::Builder& b) { b.shared_cache(make_shared_cache(32)); }, false,
+       false, false, /*exclusive_group=*/1},
+      {"latency", [fast](Session::Builder& b) { b.latency(fast); }},
+      {"async_prefetch", [](Session::Builder& b) { b.async_prefetch(); }},
+      {"depth4", [](Session::Builder& b) { b.pipeline_depth(4); }},
+      {"compute2", [](Session::Builder& b) { b.compute_threads(2); }},
+      {"faults", [](Session::Builder& b) { b.fault_injection(31, 0.01); }},
+      {"retries3", [](Session::Builder& b) { b.io_retries(3); }},
+      {"batch1", [](Session::Builder& b) { b.io_batch_blocks(1); }},
+      {"direct_io", [](Session::Builder& b) { b.direct_io(); }, /*file_only=*/true},
+      {"deadline", [](Session::Builder& b) { b.io_deadline_ms(5000); }, false,
+       /*remote_only=*/true},
+      {"wire_auth", [](Session::Builder& b) { b.wire_auth(kWireKey); }, false,
+       /*remote_only=*/true, /*keyed_server=*/true},
+  };
+}
+
+TEST(SessionRestart, EveryOptionPairRoundTripsOrIsRejectedAtBuild) {
+  RemoteServer server;
+  RemoteServerOptions keyed_opts;
+  keyed_opts.auth_key = kWireKey;
+  RemoteServer keyed_server(keyed_opts);  // for the wire_auth() pairs
+  ASSERT_TRUE(server.health().ok()) << server.health();
+  ASSERT_TRUE(keyed_server.health().ok()) << keyed_server.health();
+
+  const auto options = restart_options();
+  const auto input = test::random_records(40, 21);
+  const std::string dir = testing::TempDir() + "oem_restart_" +
+                          std::to_string(::getpid()) + "_";
+  int round_trips = 0, rejected = 0, case_id = 0;
+  for (const bool remote : {false, true}) {
+    for (std::size_t i = 0; i < options.size(); ++i) {
+      for (std::size_t j = i + 1; j < options.size(); ++j, ++case_id) {
+        const RestartOption& x = options[i];
+        const RestartOption& y = options[j];
+        const std::string label = std::string(remote ? "remote/" : "file/") +
+                                  x.name + "+" + y.name;
+        const RemoteServer& srv =
+            x.keyed_server || y.keyed_server ? keyed_server : server;
+        const std::string store = dir + std::to_string(case_id) + ".blocks";
+        const std::string state = dir + std::to_string(case_id) + ".state";
+        const auto builder = [&] {
+          Session::Builder b;
+          b.block_records(4).cache_records(64).seed(0x5eed).state_path(state);
+          if (remote) {
+            b.remote(srv.host(), srv.port());
+          } else {
+            FileBackendOptions fo;
+            fo.path = store;
+            fo.keep_file = true;
+            b.file_backed(fo);
+          }
+          x.apply(b);
+          y.apply(b);
+          return b;
+        };
+        const bool illegal =
+            (x.exclusive_group != 0 && x.exclusive_group == y.exclusive_group) ||
+            ((x.file_only || y.file_only) && remote) ||
+            ((x.remote_only || y.remote_only) && !remote);
+
+        // One case per call, so a failed ASSERT ends only this case and the
+        // remaining pairs still run (and still clean up).
+        const auto run_case = [&] {
+          {
+            auto built = builder().build();
+            if (illegal) {
+              ASSERT_FALSE(built.ok()) << label << " must be rejected at build()";
+              EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument)
+                  << label;
+              ++rejected;
+              return;
+            }
+            ASSERT_TRUE(built.ok()) << label << ": " << built.status();
+            Session first = std::move(built).value();
+            auto a = first.outsource(input);
+            ASSERT_TRUE(a.ok()) << label << ": " << a.status();
+            ASSERT_TRUE(first.persist_freshness().ok()) << label;
+          }  // the first session dies here
+          auto built = builder().build();
+          ASSERT_TRUE(built.ok()) << label << " restart: " << built.status();
+          Session second = std::move(built).value();
+          const ExtArray a = second.client().alloc(input.size(), Client::Init::kUninit);
+          auto got = second.retrieve(a);
+          ASSERT_TRUE(got.ok()) << label << " restart: " << got.status();
+          EXPECT_EQ(*got, input) << label;
+          ++round_trips;
+        };
+        run_case();
+        for (const std::string& f :
+             {store, store + ".shard0", store + ".shard1", state})
+          std::remove(f.c_str());
+      }
+    }
+  }
+  EXPECT_EQ(round_trips + rejected, case_id);
+  EXPECT_GT(round_trips, 0);
 }
 
 }  // namespace
