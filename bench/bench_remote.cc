@@ -61,9 +61,9 @@ namespace {
 /// sharded(4)+depth1 at identical block-I/O counts, and the cached
 /// ORAM-epoch row spends >= 30% fewer wire ops than uncached with identical
 /// outputs.
-bool run_sharded_grid(RemoteServer& server, std::uint64_t n_blocks,
-                      std::size_t cache_blocks, std::uint64_t* store_counter,
-                      std::string* json_rows) {
+bool run_stripe_grid(RemoteServer& server, std::uint64_t n_blocks,
+                     std::size_t cache_blocks, std::uint64_t* store_counter,
+                     std::string* json_rows) {
   bench::banner("E13", "striping x depth: split-phase ShardedBackend over the wire");
   bench::note("sharded(K) forwards begin/complete per shard, so K connections "
               "each carry their own in-flight window: K x depth frames on the "
@@ -85,8 +85,7 @@ bool run_sharded_grid(RemoteServer& server, std::uint64_t n_blocks,
       ropts.store_id = ns | shard;
       return remote_backend(ropts)(block_words);
     };
-    BackendFactory f = sharded_backend(std::move(per_shard), shards,
-                                       /*parallel_dispatch=*/-1);
+    BackendFactory f = sharded_backend(std::move(per_shard), shards);
     if (cache > 0) f = caching_backend(std::move(f), cache);
     if (prefetch) f = async_backend(std::move(f));
     p.backend = std::move(f);
@@ -349,7 +348,7 @@ int main(int argc, char** argv) {
   std::uint64_t store_counter = 1ull << 20;
   std::string sharded_rows;
   const bool grid_met =
-      run_sharded_grid(server, n_blocks, cache_blocks, &store_counter, &sharded_rows);
+      run_stripe_grid(server, n_blocks, cache_blocks, &store_counter, &sharded_rows);
   if (!sharded_json_path.empty()) {
     std::ofstream out(sharded_json_path);
     out << "{\"bench\":\"sharded_pipeline\",\"rtt_us\":" << rtt_us

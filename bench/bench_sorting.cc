@@ -12,14 +12,17 @@
 //   E8d: storage-backend reality check -- the batched read_many/write_many
 //        path vs per-block I/O on the file and latency backends, wall-clock.
 //   E8e: the I/O engine -- sharded striping x async prefetch on a 2us-RTT
-//        latency backend, wall-clock; optionally emitted as JSON for CI.
+//        latency backend, wall-clock, plus its no-sleep CPU floor; gated,
+//        optionally emitted as JSON for CI.
 //
 // Flags: --records=N scales every view (default 524288); --backend selects
 // the storage for E8a-E8c (E8d/E8e always compare configurations
-// explicitly); --json=PATH writes E8e's grid as a JSON artifact.
+// explicitly); --json=PATH writes E8e's grid as a JSON artifact.  Exits 1
+// when an E8e gate fails.
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <iterator>
 
 #include "bench_common.h"
 #include "core/oblivious_sort.h"
@@ -213,37 +216,50 @@ void e8d(std::uint64_t records) {
 // sort (same block I/Os, same trace -- the trace-equivalence suite proves
 // it) runs against a 2us-RTT latency-modeled store in four configurations:
 // {1, 4} shards x {off, on} prefetch.  Sharding makes the four simulated
-// stores stream -- and sleep -- in parallel; prefetch overlaps each pass's
-// compute with the next window's I/O through the AsyncBackend.
-void e8e(const std::string& json_path) {
+// links stream in parallel; prefetch overlaps each pass's compute with the
+// next window's I/O through the AsyncBackend.  Two companion rows run the
+// same stores with no sleeps, so the striping engine's own CPU cost cannot
+// hide behind modeled latency.  Gates (exit code): 4 shards + prefetch >=
+// 2.5x over 1 shard off, and sharded(4) without sleeps within 1.25x of the
+// unsharded wall.  Returns false when a gate fails.
+bool e8e(const std::string& json_path) {
   bench::banner("E8e", "I/O engine: sharded striping x async prefetch (latency backend)");
   bench::note("same sort, same per-block trace; each store models a 2us-RTT, "
               "~640 Mbps link (100ns/word), slept for real -- wall-clock is the "
               "whole point: striping streams 4 links at once, prefetch hides "
-              "the client's compute inside the transfer time");
+              "the client's compute inside the transfer time; the no-sleep "
+              "rows are the CPU floor; every row is the best of 10 runs");
   // Fixed lab size (like E8d's caps): enough network passes that per-pass
-  // engine overheads amortize, small enough that four real-slept runs stay
-  // under ~100ms total.
+  // engine overheads amortize, small enough that every run stays short.
   const std::size_t B = 8;
   const std::uint64_t m = 256;
   const std::uint64_t n_blocks = 1024;
+  // Single prefetch runs spread widely on a shared 4-vCPU host (7-38 ms for
+  // the 4-shard row, about half of them slow); the best of 10 is stable.
+  constexpr int kReps = 10;
+  constexpr double kMinSpeedup = 2.5;
+  constexpr double kMaxFloorRatio = 1.25;
   LatencyProfile lan;
   lan.per_op_ns = 2000;
   lan.per_word_ns = 100;
-  lan.real_sleep = true;
 
   struct Cfg {
     std::size_t shards;
     bool prefetch;
+    bool sleep;
   };
-  const Cfg cfgs[] = {{1, false}, {4, false}, {1, true}, {4, true}};
+  const Cfg cfgs[] = {{1, false, true}, {4, false, true},  {1, true, true},
+                      {4, true, true},  {1, false, false}, {4, false, false}};
 
-  Table t({"shards", "prefetch", "block I/Os", "wall ms", "records/s", "speedup"});
-  double base_ms = 0;
+  Table t({"shards", "prefetch", "sleep", "block I/Os", "wall ms", "records/s",
+           "speedup"});
+  double sleep_base_ms = 0, floor_base_ms = 0, speedup_4_on = 0, floor_ratio = 0;
   std::string json_rows;
-  for (const Cfg& cfg : cfgs) {
+  // One timed sort; returns wall ms and sets `ios` to its block I/O count.
+  auto run_once = [&](const Cfg& cfg, std::uint64_t& ios) {
     LatencyProfile profile = lan;
     profile.lanes = cfg.shards;  // parallel-disk model over the striped store
+    profile.real_sleep = cfg.sleep;
     BackendFactory f;
     if (cfg.shards > 1) f = sharded_backend(BackendFactory{}, cfg.shards);
     f = latency_backend(std::move(f), profile);
@@ -260,29 +276,62 @@ void e8e(const std::string& json_path) {
     const auto t0 = std::chrono::steady_clock::now();
     sortnet::ext_oblivious_sort(c, a);
     const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(t1 - t0)
-            .count();
+    ios = c.stats().total();
+    return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(t1 - t0)
+        .count();
+  };
+  // Repetitions go round-robin over the rows, so a slow spell on a shared
+  // host lands on different rows in different rounds instead of on every
+  // repetition of one row.
+  constexpr std::size_t kRows = std::size(cfgs);
+  double best_ms[kRows] = {};
+  std::uint64_t row_ios[kRows] = {};
+  for (int rep = 0; rep < kReps; ++rep)
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const double ms = run_once(cfgs[r], row_ios[r]);
+      if (rep == 0 || ms < best_ms[r]) best_ms[r] = ms;
+    }
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const Cfg& cfg = cfgs[r];
+    const double ms = best_ms[r];
+    const std::uint64_t ios = row_ios[r];
+    double& base_ms = cfg.sleep ? sleep_base_ms : floor_base_ms;
     if (cfg.shards == 1 && !cfg.prefetch) base_ms = ms;
     const double rps = static_cast<double>(n_blocks * B) / (ms / 1000.0);
     const double speedup = base_ms / ms;
+    if (cfg.sleep && cfg.shards == 4 && cfg.prefetch) speedup_4_on = speedup;
+    if (!cfg.sleep && cfg.shards == 4) floor_ratio = ms / base_ms;
     t.add_row({std::to_string(cfg.shards), cfg.prefetch ? "on" : "off",
-               std::to_string(c.stats().total()), Table::fmt(ms, 1),
+               cfg.sleep ? "real" : "none", std::to_string(ios), Table::fmt(ms, 1),
                Table::fmt(rps, 0), Table::fmt(speedup, 2) + "x"});
     if (!json_rows.empty()) json_rows += ",";
     json_rows += "{\"shards\":" + std::to_string(cfg.shards) +
                  ",\"prefetch\":" + (cfg.prefetch ? "true" : "false") +
+                 ",\"real_sleep\":" + (cfg.sleep ? "true" : "false") +
                  ",\"wall_ms\":" + Table::fmt(ms, 3) +
                  ",\"records_per_s\":" + Table::fmt(rps, 0) +
                  ",\"speedup\":" + Table::fmt(speedup, 3) + "}";
   }
   t.print(std::cout);
+  const bool speedup_ok = speedup_4_on >= kMinSpeedup;
+  const bool floor_ok = floor_ratio <= kMaxFloorRatio;
+  bench::note("4 shards + prefetch: " + Table::fmt(speedup_4_on, 2) +
+              "x over 1 shard off (gate: >= " + Table::fmt(kMinSpeedup, 2) + "x) -- " +
+              (speedup_ok ? "ok" : "GATE FAILED"));
+  bench::note("no sleeps: sharded(4) takes " + Table::fmt(floor_ratio, 2) +
+              "x the unsharded wall (gate: <= " + Table::fmt(kMaxFloorRatio, 2) +
+              "x) -- " + (floor_ok ? "ok" : "GATE FAILED"));
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     out << "{\"bench\":\"io_engine\",\"records\":" << n_blocks * B
-        << ",\"per_op_ns\":2000,\"per_word_ns\":100,\"rows\":[" << json_rows << "]}\n";
+        << ",\"per_op_ns\":2000,\"per_word_ns\":100,\"reps\":" << kReps
+        << ",\"speedup_4_shards_prefetch\":" << Table::fmt(speedup_4_on, 3)
+        << ",\"no_sleep_sharded_ratio\":" << Table::fmt(floor_ratio, 3)
+        << ",\"gates_met\":" << (speedup_ok && floor_ok ? "true" : "false")
+        << ",\"rows\":[" << json_rows << "]}\n";
     bench::note("wrote " + json_path);
   }
+  return speedup_ok && floor_ok;
 }
 
 }  // namespace
@@ -298,6 +347,5 @@ int main(int argc, char** argv) {
   e8b();
   e8c(n_max);
   e8d(records);
-  e8e(json_path);
-  return 0;
+  return e8e(json_path) ? 0 : 1;
 }

@@ -176,7 +176,7 @@ Session::Builder& Session::Builder::fault_injection(std::uint64_t seed, double r
 }
 
 Session::Builder& Session::Builder::fault_injection(FaultProfile profile) {
-  inject_faults_ = profile.fail_rate > 0.0 || profile.slow_ns > 0;
+  inject_faults_ = profile.fail_rate > 0.0;
   fault_profile_ = profile;
   return *this;
 }

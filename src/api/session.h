@@ -178,7 +178,7 @@ class Session {
     /// device gets a bounded retry policy (io_retries below).  Fault firing
     /// and recovery are invisible in the recorded trace; an unrecovered
     /// failure surfaces as StatusCode::kIo through Result<T>.  rate = 0
-    /// disables.  Fine-grained control (fail-N, slow shards): pass a profile.
+    /// disables.  Fine-grained control (fail-N): pass a profile.
     Builder& fault_injection(std::uint64_t seed, double rate);
     Builder& fault_injection(FaultProfile profile);
     /// Simulate a MALICIOUS server (TamperingBackend): each shard's base

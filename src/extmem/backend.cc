@@ -92,37 +92,11 @@ Status StorageBackend::begin_write_many(std::span<const std::uint64_t> blocks,
   return do_begin_write_many(blocks, in);
 }
 
-Status StorageBackend::do_read_many(std::span<const std::uint64_t> blocks,
-                                    std::span<Word> out) {
-  for (std::size_t i = 0; i < blocks.size(); ++i)
-    OEM_RETURN_IF_ERROR(do_read(blocks[i], out.subspan(i * block_words(), block_words())));
-  return Status::Ok();
-}
-
-Status StorageBackend::do_write_many(std::span<const std::uint64_t> blocks,
-                                     std::span<const Word> in) {
-  for (std::size_t i = 0; i < blocks.size(); ++i)
-    OEM_RETURN_IF_ERROR(do_write(blocks[i], in.subspan(i * block_words(), block_words())));
-  return Status::Ok();
-}
-
 // ---------------------------------------------------------------------------
 // MemBackend.
 
 Status MemBackend::do_resize(std::uint64_t nblocks) {
   storage_.resize(static_cast<std::size_t>(nblocks) * block_words());
-  return Status::Ok();
-}
-
-Status MemBackend::do_read(std::uint64_t block, std::span<Word> out) {
-  std::memcpy(out.data(), storage_.data() + block * block_words(),
-              block_words() * sizeof(Word));
-  return Status::Ok();
-}
-
-Status MemBackend::do_write(std::uint64_t block, std::span<const Word> in) {
-  std::memcpy(storage_.data() + block * block_words(), in.data(),
-              block_words() * sizeof(Word));
   return Status::Ok();
 }
 
@@ -239,14 +213,6 @@ Status FileBackend::pwrite_words(std::span<const Word> in, std::uint64_t first_b
   return Status::Ok();
 }
 
-Status FileBackend::do_read(std::uint64_t block, std::span<Word> out) {
-  return pread_words(out, block);
-}
-
-Status FileBackend::do_write(std::uint64_t block, std::span<const Word> in) {
-  return pwrite_words(in, block);
-}
-
 Status FileBackend::do_read_many(std::span<const std::uint64_t> blocks,
                                  std::span<Word> out) {
   const std::size_t bw = block_words();
@@ -290,11 +256,11 @@ void LatencyBackend::pay(std::uint64_t words, std::uint64_t nblocks) {
   const std::uint64_t ns =
       profile_.per_op_ns + profile_.per_word_ns * ((words + lanes - 1) / lanes);
   simulated_ns_.fetch_add(ns, std::memory_order_relaxed);
-  // The sleep happens on the calling thread; per-shard LatencyBackends driven
-  // by ShardedBackend workers therefore sleep concurrently, modeling K
-  // independent stores instead of one serial queue.  Linux pads sleeps with
-  // ~50us of timer slack by default, which would drown microsecond-scale
-  // round trips; request 1us slack once per sleeping thread.
+  // The sleep happens on the calling thread (model K independent stores with
+  // one LatencyBackend of lanes = K above the stripe).  Linux pads sleeps
+  // with ~50us of timer slack by default, which would drown
+  // microsecond-scale round trips; request 1us slack once per sleeping
+  // thread.
   if (profile_.real_sleep && ns > 0) {
 #ifdef __linux__
     static thread_local bool slack_tightened = false;
@@ -309,16 +275,6 @@ void LatencyBackend::pay(std::uint64_t words, std::uint64_t nblocks) {
 
 Status LatencyBackend::do_resize(std::uint64_t nblocks) {
   return inner_->resize(nblocks);
-}
-
-Status LatencyBackend::do_read(std::uint64_t block, std::span<Word> out) {
-  pay(out.size(), 1);
-  return inner_->read(block, out);
-}
-
-Status LatencyBackend::do_write(std::uint64_t block, std::span<const Word> in) {
-  pay(in.size(), 1);
-  return inner_->write(block, in);
 }
 
 Status LatencyBackend::do_read_many(std::span<const std::uint64_t> blocks,

@@ -12,10 +12,10 @@
 //                       per-word delay, modeling a remote honest-but-curious
 //                       server across a network.
 //
-// Besides single-block read/write, backends implement *batched*
-// read_many/write_many so that implementations can coalesce work: FileBackend
-// merges runs of consecutive block ids into single syscalls, LatencyBackend
-// charges one round-trip for a whole batch.  Batching never changes the
+// Backends implement *batched* read_many/write_many so that they can
+// coalesce work: FileBackend merges runs of consecutive block ids into single
+// syscalls, LatencyBackend charges one round-trip for a whole batch.  A
+// single-block read/write is a batch of one.  Batching never changes the
 // adversary's view -- the BlockDevice layer above records the identical
 // per-block trace events in the identical order either way.
 //
@@ -110,13 +110,18 @@ class StorageBackend {
 
  protected:
   virtual Status do_resize(std::uint64_t nblocks) = 0;
-  virtual Status do_read(std::uint64_t block, std::span<Word> out) = 0;
-  virtual Status do_write(std::uint64_t block, std::span<const Word> in) = 0;
-  /// Default batched implementations loop over the single-block ops;
-  /// backends override to coalesce.
-  virtual Status do_read_many(std::span<const std::uint64_t> blocks, std::span<Word> out);
+  virtual Status do_read_many(std::span<const std::uint64_t> blocks,
+                              std::span<Word> out) = 0;
   virtual Status do_write_many(std::span<const std::uint64_t> blocks,
-                               std::span<const Word> in);
+                               std::span<const Word> in) = 0;
+  /// Single-block ops are batches of one; virtual only because
+  /// perfbench/probe.h's ProbeBackend overrides them.
+  virtual Status do_read(std::uint64_t block, std::span<Word> out) {
+    return do_read_many(std::span<const std::uint64_t>(&block, 1), out);
+  }
+  virtual Status do_write(std::uint64_t block, std::span<const Word> in) {
+    return do_write_many(std::span<const std::uint64_t>(&block, 1), in);
+  }
   /// Split-phase defaults: execute at begin time, complete immediately.
   virtual std::size_t do_max_inflight() const { return 1; }
   virtual Status do_begin_read_many(std::span<const std::uint64_t> blocks,
@@ -151,8 +156,6 @@ class MemBackend : public StorageBackend {
 
  protected:
   Status do_resize(std::uint64_t nblocks) override;
-  Status do_read(std::uint64_t block, std::span<Word> out) override;
-  Status do_write(std::uint64_t block, std::span<const Word> in) override;
   Status do_read_many(std::span<const std::uint64_t> blocks, std::span<Word> out) override;
   Status do_write_many(std::span<const std::uint64_t> blocks,
                        std::span<const Word> in) override;
@@ -185,14 +188,12 @@ class FileBackend : public StorageBackend {
   /// fsync: acknowledged writes survive the process.
   Status flush() override;
   /// pread/pwrite calls issued -- shows read_many/write_many coalescing.
-  /// Atomic: shard workers and the async I/O thread bump it concurrently
-  /// with a main-thread reader.
+  /// Atomic: the async I/O thread bumps it concurrently with a main-thread
+  /// reader.
   std::uint64_t syscalls() const { return syscalls_.load(std::memory_order_relaxed); }
 
  protected:
   Status do_resize(std::uint64_t nblocks) override;
-  Status do_read(std::uint64_t block, std::span<Word> out) override;
-  Status do_write(std::uint64_t block, std::span<const Word> in) override;
   /// Coalesce maximal runs of consecutive block ids into single syscalls.
   Status do_read_many(std::span<const std::uint64_t> blocks, std::span<Word> out) override;
   Status do_write_many(std::span<const std::uint64_t> blocks,
@@ -273,8 +274,6 @@ class DirectFileBackend : public StorageBackend {
 
  protected:
   Status do_resize(std::uint64_t nblocks) override;
-  Status do_read(std::uint64_t block, std::span<Word> out) override;
-  Status do_write(std::uint64_t block, std::span<const Word> in) override;
   Status do_read_many(std::span<const std::uint64_t> blocks, std::span<Word> out) override;
   Status do_write_many(std::span<const std::uint64_t> blocks,
                        std::span<const Word> in) override;
@@ -356,9 +355,8 @@ class LatencyBackend : public StorageBackend {
   const StorageBackend* inner_backend() const override { return inner_.get(); }
   Status flush() override { return inner_->flush(); }
   /// Backend calls observed and total simulated delay charged so far.
-  /// Atomic: a LatencyBackend inside a ShardedBackend/AsyncBackend is driven
-  /// from worker threads while the main thread reads the counters; sleeps on
-  /// different shards overlap instead of serializing.
+  /// Atomic: a LatencyBackend under an AsyncBackend is driven from the I/O
+  /// thread while the main thread reads the counters.
   std::uint64_t ops() const { return ops_.load(std::memory_order_relaxed); }
   std::uint64_t simulated_ns() const {
     return simulated_ns_.load(std::memory_order_relaxed);
@@ -366,8 +364,6 @@ class LatencyBackend : public StorageBackend {
 
  protected:
   Status do_resize(std::uint64_t nblocks) override;
-  Status do_read(std::uint64_t block, std::span<Word> out) override;
-  Status do_write(std::uint64_t block, std::span<const Word> in) override;
   Status do_read_many(std::span<const std::uint64_t> blocks, std::span<Word> out) override;
   Status do_write_many(std::span<const std::uint64_t> blocks,
                        std::span<const Word> in) override;

@@ -16,7 +16,7 @@ ComputePool::ComputePool(std::size_t threads)
     : threads_(std::max<std::size_t>(1, threads)) {
   workers_.reserve(threads_ - 1);
   for (std::size_t i = 0; i + 1 < threads_; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this] { lane_loop(); });
 }
 
 ComputePool::~ComputePool() {
@@ -46,7 +46,7 @@ bool ComputePool::run_one(std::unique_lock<std::mutex>& lock) {
   return true;
 }
 
-void ComputePool::worker_loop() {
+void ComputePool::lane_loop() {
 #if defined(__linux__)
   // Default timer slack (50us) would blur the sub-millisecond sleeps the
   // compute model (ClientParams::compute_model_ns_per_block) relies on.

@@ -60,7 +60,7 @@ class ComputePool {
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:
-  void worker_loop();
+  void lane_loop();
   /// Pop and run one task.  Called with `lock` held; releases it around the
   /// task body.  Returns false when the queue was empty.
   bool run_one(std::unique_lock<std::mutex>& lock);

@@ -524,16 +524,6 @@ Status DirectFileBackend::do_resize(std::uint64_t nblocks) {
   return Status::Ok();
 }
 
-Status DirectFileBackend::do_read(std::uint64_t block, std::span<Word> out) {
-  const std::uint64_t ids[1] = {block};
-  return do_read_many(std::span<const std::uint64_t>(ids, 1), out);
-}
-
-Status DirectFileBackend::do_write(std::uint64_t block, std::span<const Word> in) {
-  const std::uint64_t ids[1] = {block};
-  return do_write_many(std::span<const std::uint64_t>(ids, 1), in);
-}
-
 Status DirectFileBackend::do_read_many(std::span<const std::uint64_t> blocks,
                                        std::span<Word> out) {
   if (!ring_live_) return fallback_->read_many(blocks, out);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -21,7 +20,7 @@ std::uint64_t shard_capacity(std::uint64_t nblocks, std::size_t s, std::size_t k
 }
 
 /// Brief busy-wait before parking on a condition variable: batch latencies
-/// are microseconds, so a futex sleep/wake per dispatch would dominate.
+/// are microseconds, so a futex sleep/wake per op would dominate.
 constexpr int kSpinIters = 2048;
 
 inline void cpu_relax() {
@@ -38,32 +37,11 @@ inline void cpu_relax() {
 // ShardedBackend.
 
 ShardedBackend::ShardedBackend(std::size_t block_words,
-                               std::vector<std::unique_ptr<StorageBackend>> shards,
-                               bool parallel_dispatch)
-    : StorageBackend(block_words),
-      shards_(std::move(shards)),
-      sub_(shards_.size()),
-      parallel_(parallel_dispatch && shards_.size() > 1) {
+                               std::vector<std::unique_ptr<StorageBackend>> shards)
+    : StorageBackend(block_words), shards_(std::move(shards)), sub_(shards_.size()) {
   assert(!shards_.empty());
   for ([[maybe_unused]] const auto& s : shards_)
     assert(s && s->block_words() == block_words);
-  if (parallel_) {
-    workers_.reserve(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s)
-      workers_.emplace_back([this, s] { worker_loop(s); });
-  }
-}
-
-ShardedBackend::~ShardedBackend() {
-  if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-      gen_.fetch_add(1, std::memory_order_release);
-    }
-    work_cv_.notify_all();
-    for (auto& w : workers_) w.join();
-  }
 }
 
 Status ShardedBackend::health() const {
@@ -83,20 +61,11 @@ Status ShardedBackend::do_resize(std::uint64_t nblocks) {
   return Status::Ok();
 }
 
-Status ShardedBackend::do_read(std::uint64_t block, std::span<Word> out) {
-  return shards_[block % shards_.size()]->read(block / shards_.size(), out);
-}
-
-Status ShardedBackend::do_write(std::uint64_t block, std::span<const Word> in) {
-  return shards_[block % shards_.size()]->write(block / shards_.size(), in);
-}
-
 void ShardedBackend::partition(std::span<const std::uint64_t> blocks) {
   const std::size_t k = shards_.size();
   for (auto& sb : sub_) {
     sb.inner_ids.clear();
     sb.flat.clear();
-    sb.status = Status::Ok();
   }
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     SubBatch& sb = sub_[blocks[i] % k];
@@ -118,133 +87,43 @@ bool contiguous_run(const std::vector<std::size_t>& flat) {
 
 }  // namespace
 
-void ShardedBackend::run_shard(std::size_t s) {
-  SubBatch& sb = sub_[s];
-  const std::size_t bw = block_words();
-  // Zero-copy fast path: a single-shard (or otherwise contiguous) slice
-  // borrows the caller's span directly -- no gather/scatter memcpy hop.
-  if (contiguous_run(sb.flat)) {
-    const std::size_t first = sb.flat.empty() ? 0 : sb.flat[0];
-    const std::size_t words = sb.inner_ids.size() * bw;
-    sb.status = job_is_write_
-                    ? shards_[s]->write_many(sb.inner_ids,
-                                             job_win_.subspan(first * bw, words))
-                    : shards_[s]->read_many(sb.inner_ids,
-                                            job_rout_.subspan(first * bw, words));
-    return;
-  }
-  sb.staging.resize(sb.inner_ids.size() * bw);
-  if (job_is_write_) {
-    for (std::size_t j = 0; j < sb.flat.size(); ++j)
-      std::memcpy(sb.staging.data() + j * bw, job_win_.data() + sb.flat[j] * bw,
-                  bw * sizeof(Word));
-    sb.status = shards_[s]->write_many(
-        sb.inner_ids, std::span<const Word>(sb.staging.data(), sb.staging.size()));
-  } else {
-    sb.status = shards_[s]->read_many(
-        sb.inner_ids, std::span<Word>(sb.staging.data(), sb.staging.size()));
-    if (sb.status.ok())
-      for (std::size_t j = 0; j < sb.flat.size(); ++j)
-        std::memcpy(job_rout_.data() + sb.flat[j] * bw, sb.staging.data() + j * bw,
-                    bw * sizeof(Word));
-  }
-}
-
-void ShardedBackend::worker_loop(std::size_t s) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    for (int i = 0; i < kSpinIters && gen_.load(std::memory_order_acquire) == seen; ++i)
-      cpu_relax();
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      work_cv_.wait(lk, [&] {
-        return gen_.load(std::memory_order_relaxed) != seen || stop_;
-      });
-      if (stop_) return;
-      seen = gen_.load(std::memory_order_relaxed);
-    }
-    if (s != inline_shard_ && !sub_[s].inner_ids.empty()) run_shard(s);
-    // EVERY worker checks in on every generation -- also the ones with an
-    // empty slice.  run_batch() cannot return (and the caller cannot start
-    // repartitioning sub_ for the next batch) until all workers have caught
-    // up to this generation, so no stale worker can ever observe a newer
-    // batch's state or run a slice twice.
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lk(mu_);
-      done_cv_.notify_all();
-    }
-  }
-}
-
-Status ShardedBackend::run_batch(bool is_write, std::span<Word> rout,
-                                 std::span<const Word> win) {
-  std::size_t involved = 0, last = 0;
-  for (std::size_t s = 0; s < sub_.size(); ++s)
-    if (!sub_[s].inner_ids.empty()) {
-      ++involved;
-      last = s;
-    }
-  if (involved == 0) return Status::Ok();
-
-  job_is_write_ = is_write;
-  job_rout_ = rout;
-  job_win_ = win;
-  inline_shard_ = last;
-
-  if (!parallel_) {
-    for (std::size_t s = 0; s < sub_.size(); ++s)
-      if (!sub_[s].inner_ids.empty()) run_shard(s);
-    Status st;
-    for (const auto& sb : sub_) st.Update(sb.status);
-    return st;
-  }
-
-  if (involved > 1) {
-    dispatches_.fetch_add(1, std::memory_order_relaxed);
-    pending_.store(workers_.size(), std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      gen_.fetch_add(1, std::memory_order_release);
-    }
-    work_cv_.notify_all();
-  }
-  // The main thread always contributes one slice instead of idling.
-  run_shard(inline_shard_);
-  if (involved > 1) {
-    for (int i = 0; i < kSpinIters && pending_.load(std::memory_order_acquire) != 0; ++i)
-      cpu_relax();
-    if (pending_.load(std::memory_order_acquire) != 0) {
-      std::unique_lock<std::mutex> lk(mu_);
-      done_cv_.wait(lk, [&] { return pending_.load(std::memory_order_relaxed) == 0; });
-    }
-  }
-  Status st;
-  for (const auto& sb : sub_) st.Update(sb.status);
-  return st;
-}
+// --- one fan-out path ---
+//
+// A batch turns into at most one sub-frame per shard, begun on every
+// involved shard before any response is awaited; completion pops the oldest
+// batch and completes its shards' oldest frames.  Per-shard frame order
+// equals batch order by construction, so each shard's FIFO contract carries
+// the whole stripe's FIFO contract.  A synchronous batch is a begun batch
+// completed at once, after every older begun batch is retired: shards with
+// split-phase I/O (remote, io_uring) overlap their transfers, the rest
+// execute at begin.  Everything runs on the calling thread.
 
 Status ShardedBackend::do_read_many(std::span<const std::uint64_t> blocks,
                                     std::span<Word> out) {
-  partition(blocks);
-  return run_batch(/*is_write=*/false, out, {});
+  retire_outstanding();
+  OEM_RETURN_IF_ERROR(do_begin_read_many(blocks, out));
+  return complete_newest();
 }
 
 Status ShardedBackend::do_write_many(std::span<const std::uint64_t> blocks,
                                      std::span<const Word> in) {
-  partition(blocks);
-  return run_batch(/*is_write=*/true, {}, in);
+  retire_outstanding();
+  OEM_RETURN_IF_ERROR(do_begin_write_many(blocks, in));
+  return complete_newest();
 }
 
-// --- split-phase forwarding ---
-//
-// A begun batch turns into at most one sub-frame per shard, begun on every
-// involved shard before any response is awaited; completion pops the oldest
-// batch and completes its shards' oldest frames.  Per-shard frame order
-// equals batch order by construction, so each shard's FIFO contract carries
-// the whole stripe's FIFO contract.  All split-phase traffic comes from one
-// thread (the AsyncBackend I/O thread) -- begin_* on a remote shard is a
-// non-blocking frame send, so the worker pool has nothing to overlap and
-// stays out of this path entirely.
+void ShardedBackend::retire_outstanding() {
+  while (!frames_.empty()) {
+    completed_early_.push_back(complete_frame(std::move(frames_.front())));
+    frames_.pop_front();
+  }
+}
+
+Status ShardedBackend::complete_newest() {
+  ShardFrame f = std::move(frames_.back());
+  frames_.pop_back();
+  return complete_frame(std::move(f));
+}
 
 std::size_t ShardedBackend::do_max_inflight() const {
   std::size_t depth = shards_[0]->max_inflight();
@@ -255,46 +134,21 @@ std::size_t ShardedBackend::do_max_inflight() const {
 
 Status ShardedBackend::do_begin_read_many(std::span<const std::uint64_t> blocks,
                                           std::span<Word> out) {
-  const std::size_t bw = block_words();
-  partition(blocks);
-  ShardFrame f;
-  f.is_write = false;
-  f.rout = out;
-  Status st;
-  for (std::size_t s = 0; s < sub_.size() && st.ok(); ++s) {
-    SubBatch& sb = sub_[s];
-    if (sb.inner_ids.empty()) continue;
-    ShardFrame::Part p = acquire_part();
-    p.shard = s;
-    p.inner_ids.assign(sb.inner_ids.begin(), sb.inner_ids.end());
-    if (contiguous_run(sb.flat)) {
-      // Borrowed span: the shard reads straight into the caller's buffer at
-      // its completion -- `out` stays valid until our complete_oldest.
-      p.flat0 = sb.flat.empty() ? 0 : sb.flat[0];
-      st = shards_[s]->begin_read_many(p.inner_ids,
-                                       out.subspan(p.flat0 * bw, p.inner_ids.size() * bw));
-    } else {
-      p.flat.assign(sb.flat.begin(), sb.flat.end());
-      p.staging.resize(p.inner_ids.size() * bw);
-      st = shards_[s]->begin_read_many(p.inner_ids,
-                                       std::span<Word>(p.staging.data(), p.staging.size()));
-    }
-    if (st.ok()) f.parts.push_back(std::move(p));
-  }
-  if (!st.ok()) {
-    abort_partial_begin(f);
-    return st;
-  }
-  frames_.push_back(std::move(f));
-  return Status::Ok();
+  return begin_frame(/*is_write=*/false, blocks, out, {});
 }
 
 Status ShardedBackend::do_begin_write_many(std::span<const std::uint64_t> blocks,
                                            std::span<const Word> in) {
+  return begin_frame(/*is_write=*/true, blocks, {}, in);
+}
+
+Status ShardedBackend::begin_frame(bool is_write, std::span<const std::uint64_t> blocks,
+                                   std::span<Word> rout, std::span<const Word> win) {
   const std::size_t bw = block_words();
   partition(blocks);
   ShardFrame f;
-  f.is_write = true;
+  f.is_write = is_write;
+  f.rout = rout;
   Status st;
   for (std::size_t s = 0; s < sub_.size() && st.ok(); ++s) {
     SubBatch& sb = sub_[s];
@@ -302,19 +156,29 @@ Status ShardedBackend::do_begin_write_many(std::span<const std::uint64_t> blocks
     ShardFrame::Part p = acquire_part();
     p.shard = s;
     p.inner_ids.assign(sb.inner_ids.begin(), sb.inner_ids.end());
+    const std::size_t words = p.inner_ids.size() * bw;
     if (contiguous_run(sb.flat)) {
-      const std::size_t first = sb.flat.empty() ? 0 : sb.flat[0];
-      st = shards_[s]->begin_write_many(p.inner_ids,
-                                        in.subspan(first * bw, p.inner_ids.size() * bw));
-    } else {
+      // Borrowed span: a read lands straight in the caller's buffer, which
+      // stays valid until our complete_oldest.
+      p.flat0 = sb.flat[0];
+      st = is_write ? shards_[s]->begin_write_many(p.inner_ids,
+                                                   win.subspan(p.flat0 * bw, words))
+                    : shards_[s]->begin_read_many(p.inner_ids,
+                                                  rout.subspan(p.flat0 * bw, words));
+    } else if (is_write) {
       // begin_write_many consumes its input before returning (staged or
       // sent), so one reused gather scratch serves every strided sub-frame.
-      wstage_.resize(p.inner_ids.size() * bw);
+      wstage_.resize(words);
       for (std::size_t j = 0; j < sb.flat.size(); ++j)
-        std::memcpy(wstage_.data() + j * bw, in.data() + sb.flat[j] * bw,
+        std::memcpy(wstage_.data() + j * bw, win.data() + sb.flat[j] * bw,
                     bw * sizeof(Word));
       st = shards_[s]->begin_write_many(
           p.inner_ids, std::span<const Word>(wstage_.data(), wstage_.size()));
+    } else {
+      p.flat.assign(sb.flat.begin(), sb.flat.end());
+      p.staging.resize(words);
+      st = shards_[s]->begin_read_many(p.inner_ids,
+                                       std::span<Word>(p.staging.data(), p.staging.size()));
     }
     if (st.ok()) f.parts.push_back(std::move(p));
   }
@@ -359,10 +223,7 @@ void ShardedBackend::abort_partial_begin(ShardFrame& f) {
   // destinations) before the partial batch's frames can be popped.  Their
   // statuses feed the caller's later complete_oldest calls verbatim; only
   // the completion TIME moved, never the order or the data.
-  while (!frames_.empty()) {
-    completed_early_.push_back(complete_frame(std::move(frames_.front())));
-    frames_.pop_front();
-  }
+  retire_outstanding();
   for (ShardFrame::Part& p : f.parts) {
     shards_[p.shard]->complete_oldest();
     part_pool_.push_back(std::move(p));
@@ -614,16 +475,6 @@ Status AsyncBackend::do_resize(std::uint64_t nblocks) {
   return inner_->resize(nblocks);
 }
 
-Status AsyncBackend::do_read(std::uint64_t block, std::span<Word> out) {
-  OEM_RETURN_IF_ERROR(drain());
-  return inner_->read(block, out);
-}
-
-Status AsyncBackend::do_write(std::uint64_t block, std::span<const Word> in) {
-  OEM_RETURN_IF_ERROR(drain());
-  return inner_->write(block, in);
-}
-
 Status AsyncBackend::do_read_many(std::span<const std::uint64_t> blocks,
                                   std::span<Word> out) {
   OEM_RETURN_IF_ERROR(drain());
@@ -650,8 +501,6 @@ FaultyBackend::FaultyBackend(std::unique_ptr<StorageBackend> inner,
 
 Status FaultyBackend::gate(bool is_write) {
   ops_.fetch_add(1, std::memory_order_relaxed);
-  if (profile_.slow_ns > 0)
-    std::this_thread::sleep_for(std::chrono::nanoseconds(profile_.slow_ns));
   const bool eligible = is_write ? profile_.fail_writes : profile_.fail_reads;
   if (!eligible || profile_.fail_rate <= 0.0) return Status::Ok();
   std::lock_guard<std::mutex> lk(mu_);
@@ -682,16 +531,6 @@ Status FaultyBackend::gate(bool is_write) {
     return Status::Io("injected fault");
   }
   return Status::Ok();
-}
-
-Status FaultyBackend::do_read(std::uint64_t block, std::span<Word> out) {
-  OEM_RETURN_IF_ERROR(gate(/*is_write=*/false));
-  return inner_->read(block, out);
-}
-
-Status FaultyBackend::do_write(std::uint64_t block, std::span<const Word> in) {
-  OEM_RETURN_IF_ERROR(gate(/*is_write=*/true));
-  return inner_->write(block, in);
 }
 
 Status FaultyBackend::do_read_many(std::span<const std::uint64_t> blocks,
@@ -790,19 +629,6 @@ bool TamperingBackend::drop_write() {
   if (!fire()) return false;
   tampered_.fetch_add(1, std::memory_order_relaxed);
   return true;
-}
-
-Status TamperingBackend::do_read(std::uint64_t block, std::span<Word> out) {
-  ops_.fetch_add(1, std::memory_order_relaxed);
-  OEM_RETURN_IF_ERROR(inner_->read(block, out));
-  tamper_read(1, out);
-  return Status::Ok();
-}
-
-Status TamperingBackend::do_write(std::uint64_t block, std::span<const Word> in) {
-  ops_.fetch_add(1, std::memory_order_relaxed);
-  if (drop_write()) return Status::Ok();  // the rollback lie: ACK, apply nothing
-  return inner_->write(block, in);
 }
 
 Status TamperingBackend::do_read_many(std::span<const std::uint64_t> blocks,
@@ -1113,16 +939,6 @@ Status CachingBackend::do_resize(std::uint64_t nblocks) {
     if (e.owner == this && block_of(key) >= nblocks) doomed.push_back(key);
   for (std::uint64_t k : doomed) erase_entry(k);
   return inner_->resize(nblocks);
-}
-
-Status CachingBackend::do_read(std::uint64_t block, std::span<Word> out) {
-  const std::uint64_t ids[1] = {block};
-  return do_read_many(std::span<const std::uint64_t>(ids, 1), out);
-}
-
-Status CachingBackend::do_write(std::uint64_t block, std::span<const Word> in) {
-  const std::uint64_t ids[1] = {block};
-  return do_write_many(std::span<const std::uint64_t>(ids, 1), in);
 }
 
 Status CachingBackend::do_read_many(std::span<const std::uint64_t> blocks,
@@ -1456,20 +1272,18 @@ Status CachingBackend::do_complete_oldest_locked() {
 // ---------------------------------------------------------------------------
 // Factories.
 
-BackendFactory sharded_backend(BackendFactory inner, std::size_t shards,
-                               int parallel_dispatch) {
+BackendFactory sharded_backend(BackendFactory inner, std::size_t shards) {
   ShardFactory per_shard = [inner = std::move(inner)](std::size_t block_words,
                                                       std::size_t) {
     return inner ? inner(block_words) : std::make_unique<MemBackend>(block_words);
   };
-  return sharded_backend(std::move(per_shard), shards, parallel_dispatch);
+  return sharded_backend(std::move(per_shard), shards);
 }
 
-BackendFactory sharded_backend(ShardFactory inner, std::size_t shards,
-                               int parallel_dispatch) {
+BackendFactory sharded_backend(ShardFactory inner, std::size_t shards) {
   assert(shards >= 1);
-  return [inner = std::move(inner), shards,
-          parallel_dispatch](std::size_t block_words) -> std::unique_ptr<StorageBackend> {
+  return [inner = std::move(inner), shards](std::size_t block_words)
+             -> std::unique_ptr<StorageBackend> {
     if (shards == 1)
       return inner ? inner(block_words, 0) : std::make_unique<MemBackend>(block_words);
     std::vector<std::unique_ptr<StorageBackend>> v;
@@ -1477,10 +1291,7 @@ BackendFactory sharded_backend(ShardFactory inner, std::size_t shards,
     for (std::size_t s = 0; s < shards; ++s)
       v.push_back(inner ? inner(block_words, s)
                         : std::make_unique<MemBackend>(block_words));
-    const bool parallel = parallel_dispatch < 0
-                              ? ShardedBackend::default_parallel_dispatch()
-                              : parallel_dispatch != 0;
-    return std::make_unique<ShardedBackend>(block_words, std::move(v), parallel);
+    return std::make_unique<ShardedBackend>(block_words, std::move(v));
   };
 }
 

@@ -6,19 +6,18 @@
 // free leverage on wall-clock.  Two composable decorators exploit that:
 //
 //   * ShardedBackend -- stripes blocks round-robin over K inner backends
-//     (block b lives on shard b mod K at inner index b div K) and dispatches
-//     the per-shard slices of a read_many/write_many batch to persistent
-//     worker threads, so K stores transfer -- and K LatencyBackends sleep --
-//     in parallel.  When the shards themselves support split-phase I/O
-//     (max_inflight() > 1 -- K RemoteBackends, one connection each), the
-//     split-phase face is forwarded: a begun batch is split into per-shard
-//     sub-frames begun on ALL shards back to back, and completed FIFO per
-//     shard, so striping and pipeline depth MULTIPLY -- a sharded(K) stack
-//     over remote stores keeps K x depth frames on the wire instead of
-//     collapsing the pipeline to one batch round trip at a time.  Per-shard
-//     sub-frames whose slice of the caller's buffer is one contiguous run
-//     borrow that span end-to-end (no staging memcpy); only strided slices
-//     pay a gather/scatter copy.
+//     (block b lives on shard b mod K at inner index b div K).  Every batch,
+//     synchronous or split-phase, takes one fan-out path with no threads: it
+//     is split into per-shard sub-frames begun on ALL involved shards back to
+//     back, and completed FIFO per shard.  When the shards support
+//     split-phase I/O (max_inflight() > 1 -- K RemoteBackends, one
+//     connection each, or K io_uring file stores) their transfers overlap,
+//     and striping and pipeline depth MULTIPLY -- a sharded(K) stack over
+//     remote stores keeps K x depth frames on the wire instead of collapsing
+//     the pipeline to one batch round trip at a time; a synchronous batch is
+//     the same thing completed at once.  Per-shard sub-frames whose slice of
+//     the caller's buffer is one contiguous run borrow that span end-to-end
+//     (no staging memcpy); only strided slices pay a gather/scatter copy.
 //
 //   * CachingBackend -- an LRU write-back block cache decorator.  Writes are
 //     absorbed in the cache (dirty blocks reach the store below only on
@@ -92,18 +91,8 @@ namespace oem {
 class ShardedBackend : public StorageBackend {
  public:
   /// Takes ownership of `shards` (all with the same block_words).
-  /// `parallel_dispatch`: use per-shard worker threads for multi-shard
-  /// batches.  Defaults to hardware_concurrency() > 1 -- on a single
-  /// hardware thread the wake cascade costs more than shard-serial
-  /// execution saves, so sub-batches run inline instead (identical
-  /// semantics, identical trace).
   ShardedBackend(std::size_t block_words,
-                 std::vector<std::unique_ptr<StorageBackend>> shards,
-                 bool parallel_dispatch = default_parallel_dispatch());
-  static bool default_parallel_dispatch() {
-    return std::thread::hardware_concurrency() > 1;
-  }
-  ~ShardedBackend() override;
+                 std::vector<std::unique_ptr<StorageBackend>> shards);
   const char* name() const override { return "sharded"; }
   Status health() const override;
 
@@ -112,16 +101,13 @@ class ShardedBackend : public StorageBackend {
   const StorageBackend& shard(std::size_t s) const { return *shards_[s]; }
   /// Flush every shard; first error wins.
   Status flush() override;
-  /// Batches dispatched to the worker pool (vs. run inline because only one
-  /// shard was involved); shows the parallel path is actually exercised.
-  std::uint64_t parallel_dispatches() const {
-    return dispatches_.load(std::memory_order_relaxed);
-  }
 
  protected:
   Status do_resize(std::uint64_t nblocks) override;
-  Status do_read(std::uint64_t block, std::span<Word> out) override;
-  Status do_write(std::uint64_t block, std::span<const Word> in) override;
+  /// Synchronous batches take the split-phase path: every outstanding begun
+  /// batch is retired first (FIFO, statuses kept for the caller's later
+  /// complete_oldest calls), then the batch is begun on every involved shard
+  /// and completed at once.
   Status do_read_many(std::span<const std::uint64_t> blocks, std::span<Word> out) override;
   Status do_write_many(std::span<const std::uint64_t> blocks,
                        std::span<const Word> in) override;
@@ -143,8 +129,6 @@ class ShardedBackend : public StorageBackend {
   struct SubBatch {
     std::vector<std::uint64_t> inner_ids;  // block ids on the shard
     std::vector<std::size_t> flat;         // position in the caller's batch
-    ArenaBuffer staging;                   // contiguous per-shard transfer buffer
-    Status status;
   };
 
   /// One outstanding split-phase batch: its per-shard sub-frames, in the
@@ -167,9 +151,16 @@ class ShardedBackend : public StorageBackend {
   };
 
   void partition(std::span<const std::uint64_t> blocks);
-  Status run_batch(bool is_write, std::span<Word> rout, std::span<const Word> win);
-  void run_shard(std::size_t s);
-  void worker_loop(std::size_t s);
+  /// Begins one sub-frame per involved shard and queues the batch on
+  /// frames_; a failed begin aborts the partial batch and returns its error.
+  Status begin_frame(bool is_write, std::span<const std::uint64_t> blocks,
+                     std::span<Word> rout, std::span<const Word> win);
+  /// Retires every outstanding begun batch into completed_early_ (in order),
+  /// so the next begun batch heads every shard's queue.
+  void retire_outstanding();
+  /// Completes the newest begun batch, which retire_outstanding() made the
+  /// only one outstanding.
+  Status complete_newest();
 
   std::vector<std::unique_ptr<StorageBackend>> shards_;
   std::vector<SubBatch> sub_;
@@ -188,25 +179,9 @@ class ShardedBackend : public StorageBackend {
   void abort_partial_begin(ShardFrame& f);
 
   std::deque<ShardFrame> frames_;  // outstanding split-phase batches (FIFO)
-  std::deque<Status> completed_early_;  // statuses of batches retired by an abort
+  std::deque<Status> completed_early_;  // statuses of batches retired early
   std::vector<ShardFrame::Part> part_pool_;  // retired parts, capacity retained
   ArenaBuffer wstage_;             // strided write gather scratch (consumed at begin)
-
-  // Dispatch state: the main thread publishes a batch under mu_ and bumps
-  // gen_; workers with a non-empty slice run it and decrement pending_.
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::atomic<std::uint64_t> gen_{0};
-  std::atomic<std::size_t> pending_{0};
-  bool stop_ = false;             // guarded by mu_
-  bool job_is_write_ = false;     // published before gen_ bump
-  std::span<Word> job_rout_;
-  std::span<const Word> job_win_;
-  std::size_t inline_shard_ = 0;  // slice the main thread runs itself
-  bool parallel_ = true;
-  std::atomic<std::uint64_t> dispatches_{0};
-  std::vector<std::thread> workers_;
 };
 
 // ---------------------------------------------------------------------------
@@ -272,8 +247,6 @@ class AsyncBackend : public StorageBackend {
   // Synchronous calls drain the queue first so they observe (and are ordered
   // against) every submitted op, then forward to the inner backend.
   Status do_resize(std::uint64_t nblocks) override;
-  Status do_read(std::uint64_t block, std::span<Word> out) override;
-  Status do_write(std::uint64_t block, std::span<const Word> in) override;
   Status do_read_many(std::span<const std::uint64_t> blocks, std::span<Word> out) override;
   Status do_write_many(std::span<const std::uint64_t> blocks,
                        std::span<const Word> in) override;
@@ -339,9 +312,6 @@ struct FaultProfile {
   /// recovers), N = fail-N (recovers with >= N+1 attempts, exhausts
   /// smaller retry budgets).
   unsigned fail_times = 1;
-  /// "Slow shard": added real delay per op, modeling a degraded store.
-  /// Never affects results or the recorded trace -- only wall-clock.
-  std::uint64_t slow_ns = 0;
   bool fail_reads = true;
   bool fail_writes = true;
 };
@@ -368,8 +338,8 @@ class FaultyBackend : public StorageBackend {
   Status flush() override { return inner_->flush(); }
 
   /// Data-path ops observed and faults injected (counting every failed
-  /// attempt).  Atomic: a FaultyBackend under an AsyncBackend or a shard
-  /// worker is driven off-thread while the main thread reads the counters.
+  /// attempt).  Atomic: a FaultyBackend under an AsyncBackend is driven
+  /// off-thread while the main thread reads the counters.
   std::uint64_t ops() const { return ops_.load(std::memory_order_relaxed); }
   std::uint64_t injected_faults() const {
     return faults_.load(std::memory_order_relaxed);
@@ -377,8 +347,6 @@ class FaultyBackend : public StorageBackend {
 
  protected:
   Status do_resize(std::uint64_t nblocks) override { return inner_->resize(nblocks); }
-  Status do_read(std::uint64_t block, std::span<Word> out) override;
-  Status do_write(std::uint64_t block, std::span<const Word> in) override;
   Status do_read_many(std::span<const std::uint64_t> blocks, std::span<Word> out) override;
   Status do_write_many(std::span<const std::uint64_t> blocks,
                        std::span<const Word> in) override;
@@ -462,15 +430,13 @@ class TamperingBackend : public StorageBackend {
   Status flush() override { return inner_->flush(); }
 
   /// Data-path ops observed / blocks mutated + writes dropped.  Atomic: a
-  /// TamperingBackend under an AsyncBackend or a shard worker is driven
-  /// off-thread while the main thread reads the counters.
+  /// TamperingBackend under an AsyncBackend is driven off-thread while the
+  /// main thread reads the counters.
   std::uint64_t ops() const { return ops_.load(std::memory_order_relaxed); }
   std::uint64_t tampered() const { return tampered_.load(std::memory_order_relaxed); }
 
  protected:
   Status do_resize(std::uint64_t nblocks) override { return inner_->resize(nblocks); }
-  Status do_read(std::uint64_t block, std::span<Word> out) override;
-  Status do_write(std::uint64_t block, std::span<const Word> in) override;
   Status do_read_many(std::span<const std::uint64_t> blocks, std::span<Word> out) override;
   Status do_write_many(std::span<const std::uint64_t> blocks,
                        std::span<const Word> in) override;
@@ -702,8 +668,6 @@ class CachingBackend : public StorageBackend {
   /// Shrink drops cached blocks past the new capacity (dirty included: a
   /// shrunk-away block is gone by contract); surviving entries stay valid.
   Status do_resize(std::uint64_t nblocks) override;
-  Status do_read(std::uint64_t block, std::span<Word> out) override;
-  Status do_write(std::uint64_t block, std::span<const Word> in) override;
   Status do_read_many(std::span<const std::uint64_t> blocks, std::span<Word> out) override;
   Status do_write_many(std::span<const std::uint64_t> blocks,
                        std::span<const Word> in) override;
@@ -828,13 +792,9 @@ using ShardFactory =
 /// Stripe over `shards` instances produced by `inner` (null = mem).  An
 /// explicit-path file backend must NOT be sharded through this overload (all
 /// shards would open the same file); use the ShardFactory overload or
-/// Session::Builder, which derives per-shard paths.  `parallel_dispatch` < 0
-/// means the hardware-concurrency default; tests pass 1 to force the worker
-/// pool on any host.
-BackendFactory sharded_backend(BackendFactory inner, std::size_t shards,
-                               int parallel_dispatch = -1);
-BackendFactory sharded_backend(ShardFactory inner, std::size_t shards,
-                               int parallel_dispatch = -1);
+/// Session::Builder, which derives per-shard paths.
+BackendFactory sharded_backend(BackendFactory inner, std::size_t shards);
+BackendFactory sharded_backend(ShardFactory inner, std::size_t shards);
 
 /// Wrap the backend produced by `inner` (null = mem) in an AsyncBackend.
 BackendFactory async_backend(BackendFactory inner);

@@ -292,16 +292,6 @@ Status RemoteBackend::ping() {
   return Status::Ok();
 }
 
-Status RemoteBackend::do_read(std::uint64_t block, std::span<Word> out) {
-  const std::uint64_t ids[1] = {block};
-  return do_read_many(std::span<const std::uint64_t>(ids, 1), out);
-}
-
-Status RemoteBackend::do_write(std::uint64_t block, std::span<const Word> in) {
-  const std::uint64_t ids[1] = {block};
-  return do_write_many(std::span<const std::uint64_t>(ids, 1), in);
-}
-
 Status RemoteBackend::do_read_many(std::span<const std::uint64_t> blocks,
                                    std::span<Word> out) {
   drain_dead();

@@ -102,8 +102,6 @@ class RemoteBackend : public StorageBackend {
 
  protected:
   Status do_resize(std::uint64_t nblocks) override;
-  Status do_read(std::uint64_t block, std::span<Word> out) override;
-  Status do_write(std::uint64_t block, std::span<const Word> in) override;
   Status do_read_many(std::span<const std::uint64_t> blocks, std::span<Word> out) override;
   Status do_write_many(std::span<const std::uint64_t> blocks,
                        std::span<const Word> in) override;

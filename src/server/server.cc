@@ -103,7 +103,7 @@ RemoteServer::RemoteServer(RemoteServerOptions opts) : opts_(std::move(opts)) {
     workers_.push_back(std::move(w));
   }
   for (auto& w : workers_)
-    w->th = std::thread([this, raw = w.get()] { worker_loop(*raw); });
+    w->th = std::thread([this, raw = w.get()] { serve_loop(*raw); });
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
@@ -264,7 +264,7 @@ Result<RemoteServer::Store*> RemoteServer::bind_store(std::uint64_t store_id,
 // ---------------------------------------------------------------------------
 // Worker loop.
 
-void RemoteServer::worker_loop(Worker& w) {
+void RemoteServer::serve_loop(Worker& w) {
 #ifdef __linux__
   // Default timer slack rounds short ppoll timeouts up by ~50us; that skew
   // would land on every simulated response delay.  1us keeps them honest.

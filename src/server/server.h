@@ -198,7 +198,7 @@ class RemoteServer {
   };
 
   void accept_loop();
-  void worker_loop(Worker& w);
+  void serve_loop(Worker& w);
   static void wake(Worker& w);
   /// Drains the socket into c.in and dispatches every complete frame.
   /// False: peer gone or protocol violation -- the connection must die.

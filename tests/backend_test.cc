@@ -105,6 +105,8 @@ std::vector<BackendCase> conformance_cases() {
       // kernels/filesystems that refuse; conformance must hold either way).
       {"direct_file", direct_file_backend()},
       {"direct_file_sharded4", sharded_backend(direct_file_backend(), 4)},
+      // Synchronous batches fanned out over split-capable shards.
+      {"sharded2_remote", sharded_backend(remote_conformance_backend(), 2)},
       {"shared_cache_2sessions", shared_cache_two_sessions_backend()},
   };
 }

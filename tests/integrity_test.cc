@@ -276,7 +276,6 @@ class IntegrityFailingBackend : public MemBackend {
   int reads = 0;
 
  protected:
-  Status do_read(std::uint64_t, std::span<Word>) override { return fail(); }
   Status do_read_many(std::span<const std::uint64_t>, std::span<Word>) override {
     return fail();
   }

@@ -1,4 +1,4 @@
-// IoEngine suite: ShardedBackend striping/parallel dispatch, AsyncBackend
+// IoEngine suite: ShardedBackend striping and fan-out, AsyncBackend
 // FIFO submission semantics, and the tentpole guarantee -- for every
 // algorithm the recorded per-block trace is byte-identical across
 // {mem, sharded(4), sharded(4)+prefetch, faulty(seed)+retry, remote
@@ -67,12 +67,9 @@ TEST(ShardedBackend, StripesRoundRobinAcrossShards) {
   }
 }
 
-TEST(ShardedBackend, BatchesDispatchToWorkersInParallel) {
+TEST(ShardedBackend, MultiShardBatchIsOneOpPerShard) {
   constexpr std::size_t kBw = 4;
-  // Force the worker pool on so the parallel path is exercised (and raced
-  // under TSan) even on single-core CI hosts.
-  auto factory = sharded_backend(latency_backend(mem_backend(), fast_profile()), 4,
-                                 /*parallel_dispatch=*/1);
+  auto factory = sharded_backend(latency_backend(mem_backend(), fast_profile()), 4);
   auto backend = factory(kBw);
   auto* sharded = dynamic_cast<ShardedBackend*>(backend.get());
   ASSERT_NE(sharded, nullptr);
@@ -83,11 +80,9 @@ TEST(ShardedBackend, BatchesDispatchToWorkersInParallel) {
   std::vector<Word> buf(ids.size() * kBw, 7);
   ASSERT_TRUE(backend->write_many(ids, buf).ok());
   ASSERT_TRUE(backend->read_many(ids, buf).ok());
-  EXPECT_EQ(sharded->parallel_dispatches(), 2u)
-      << "a multi-shard batch must take the worker-pool path";
 
-  // Each shard's LatencyBackend saw exactly one op per batch: round trips to
-  // different shards are charged (and slept) in parallel, not serialized.
+  // Each shard's LatencyBackend saw exactly one op per batch: a striped
+  // batch costs one round trip per shard, not one per block.
   for (std::size_t s = 0; s < 4; ++s) {
     auto* lat = dynamic_cast<LatencyBackend*>(&sharded->shard(s));
     ASSERT_NE(lat, nullptr);
@@ -95,21 +90,20 @@ TEST(ShardedBackend, BatchesDispatchToWorkersInParallel) {
     EXPECT_EQ(lat->simulated_ns(), 2 * (1000u + 10u * 8 * kBw)) << "shard " << s;
   }
 
-  // A single-shard batch runs inline (no dispatch overhead).
+  // A single-shard batch is one op on that shard and none elsewhere.
   const std::vector<std::uint64_t> one_shard = {0, 4, 8};
   std::vector<Word> small(one_shard.size() * kBw);
   ASSERT_TRUE(backend->read_many(one_shard, small).ok());
-  EXPECT_EQ(sharded->parallel_dispatches(), 2u);
+  for (std::size_t s = 0; s < 4; ++s)
+    EXPECT_EQ(dynamic_cast<LatencyBackend*>(&sharded->shard(s))->ops(), s == 0 ? 3u : 2u)
+        << "shard " << s;
 }
 
-TEST(ShardedBackend, AlternatingPartialBatchesStressTheWorkerPool) {
-  // Regression: a worker woken with an EMPTY slice used to skip the
-  // completion count, so run_batch could return while the worker was still
-  // between "observe generation" and "read my slice" -- racing the next
-  // batch's partition() and occasionally running a slice twice (deadlock).
-  // Alternate batches that touch disjoint shard subsets back-to-back.
+TEST(ShardedBackend, AlternatingDisjointShardBatchesKeepFifoOrder) {
+  // Back-to-back batches that touch disjoint shard subsets: each batch must
+  // apply in full, in call order, with no state carried over from the last.
   constexpr std::size_t kBw = 2;
-  auto backend = sharded_backend(mem_backend(), 4, /*parallel_dispatch=*/1)(kBw);
+  auto backend = sharded_backend(mem_backend(), 4)(kBw);
   ASSERT_TRUE(backend->resize(64).ok());
   std::vector<Word> buf(2 * kBw);
   for (int iter = 0; iter < 5000; ++iter) {
@@ -122,6 +116,45 @@ TEST(ShardedBackend, AlternatingPartialBatchesStressTheWorkerPool) {
   std::vector<Word> out(kBw);
   ASSERT_TRUE(backend->read(3, out).ok());
   EXPECT_EQ(out[0], 4999u);
+}
+
+TEST(ShardedBackend, SplitPhaseFifoWithSyncOpsInterleaved) {
+  // Synchronous ops on a stripe of split-capable shards while batches are in
+  // flight: the begun batches are retired first, so every op applies in call
+  // order and each complete_oldest still reports its own batch.
+  constexpr std::size_t kBw = 4;
+  auto backend = sharded_backend(direct_file_backend(), 4)(kBw);
+  ASSERT_TRUE(backend->health().ok()) << backend->health();
+  ASSERT_TRUE(backend->resize(32).ok());
+  ASSERT_GE(backend->max_inflight(), 2u);
+  // Shards 3, 1, 3: shard 3's slice is strided (staged, scattered at
+  // completion), shard 1's is one borrowed block.
+  const std::vector<std::uint64_t> ids = {3, 9, 7};
+  std::vector<Word> w1(ids.size() * kBw), w2(ids.size() * kBw);
+  for (std::size_t i = 0; i < w1.size(); ++i) {
+    w1[i] = 1000 + i;
+    w2[i] = 2000 + i;
+  }
+  ASSERT_TRUE(backend->begin_write_many(ids, w1).ok());
+  // A sync read with the write in flight observes it.
+  std::vector<Word> seen(ids.size() * kBw, 0);
+  ASSERT_TRUE(backend->read_many(ids, seen).ok());
+  EXPECT_EQ(seen, w1);
+  const std::vector<Word> other(kBw, 5);
+  ASSERT_TRUE(backend->write(20, other).ok());
+  std::vector<Word> r(ids.size() * kBw, 0);
+  ASSERT_TRUE(backend->begin_read_many(ids, r).ok());
+  ASSERT_TRUE(backend->begin_write_many(ids, w2).ok());
+  ASSERT_TRUE(backend->complete_oldest().ok());  // first write (retired early)
+  ASSERT_TRUE(backend->complete_oldest().ok());  // the read
+  ASSERT_TRUE(backend->complete_oldest().ok());  // second write
+  ASSERT_TRUE(backend->complete_oldest().ok());  // nothing left: Ok
+  EXPECT_EQ(r, w1) << "the read must not observe the later write";
+  std::vector<Word> out(kBw);
+  ASSERT_TRUE(backend->read(20, out).ok());
+  EXPECT_EQ(out, other);
+  ASSERT_TRUE(backend->read_many(ids, seen).ok());
+  EXPECT_EQ(seen, w2);
 }
 
 TEST(ShardedBackend, DuplicateIdsInOneBatchKeepSequentialSemantics) {
