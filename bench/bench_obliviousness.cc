@@ -3,7 +3,7 @@
 // algorithm in the library, run the canonical adversarial input family with
 // a fixed seed and print the trace hash per input: one identical hash per
 // row = data-oblivious.  A deliberately leaky algorithm is included as the
-// negative control.
+// negative control.  Exits 1 when any other row shows more than one hash.
 #include <set>
 
 #include "bench_common.h"
@@ -99,7 +99,19 @@ int main(int argc, char** argv) {
                      o.min_recursive_blocks = 512;
                      (void)core::oblivious_sort(c, a, 5, o);
                    }});
-  cases.push_back({"LEAKY control (hash-probe)", bench::params(4, 64), 256,
+  // E8a's shape options: the dense rule off, so the recursion runs and every
+  // node below the root sorts a padded array.
+  cases.push_back({"oblivious sort (T21, recursive)", bench::params(8, 512), 8 * 1024,
+                   [](Client& c, const ExtArray& a) {
+                     core::ObliviousSortOptions o;
+                     o.paper_dense_rule = false;
+                     o.sparse_quantiles = true;
+                     o.quantiles.paper_intervals = false;
+                     o.min_recursive_blocks = 512;
+                     (void)core::oblivious_sort(c, a, 5, o);
+                   }});
+  const std::string control = "LEAKY control (hash-probe)";
+  cases.push_back({control, bench::params(4, 64), 256,
                    [](Client& c, const ExtArray& a) {
                      BlockBuf blk;
                      c.read_block(a, 0, blk);
@@ -112,6 +124,7 @@ int main(int argc, char** argv) {
   // across engine configurations).
   Table t({"algorithm", "distinct trace hashes", "trace length", "block I/Os",
            "oblivious"});
+  bool leaked = false;
   for (const auto& cs : cases) {
     auto result = obliv::check_oblivious(cs.params, cs.records,
                                          obliv::canonical_inputs(1), cs.run);
@@ -120,8 +133,15 @@ int main(int argc, char** argv) {
     t.add_row({cs.name, std::to_string(hashes.size()),
                std::to_string(result.runs[0].trace_len),
                std::to_string(result.runs[0].reads + result.runs[0].writes),
-               result.oblivious ? "yes" : "NO (expected for the control)"});
+               result.oblivious           ? "yes"
+               : cs.name == control ? "NO (expected for the control)"
+                                    : "NO"});
+    if (cs.name != control && hashes.size() > 1) leaked = true;
   }
   t.print(std::cout);
+  if (leaked) {
+    std::cout << "GATE FAILED: a row other than the control has more than one trace hash\n";
+    return 1;
+  }
   return 0;
 }

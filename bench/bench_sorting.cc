@@ -58,6 +58,8 @@ void e8a(std::uint64_t n_max) {
   const std::uint64_t m = 256;  // q = 4
   Table t({"n (blocks)", "rand I/O/blk", "rand growth", "det I/O/blk", "det growth",
            "levels", "ok"});
+  Table phases({"n (blocks)", "quantiles", "distribution", "compaction", "leaf sorts",
+                "assembly"});
   double prev_rand = 0, prev_det = 0;
   for (std::uint64_t n : {n_max / 16, n_max / 4, n_max}) {
     if (n == 0) continue;
@@ -78,6 +80,16 @@ void e8a(std::uint64_t n_max) {
                prev_det ? Table::fmt(det_pb / prev_det, 2) : "-",
                std::to_string(res.stats.levels), res.status.ok() ? "yes" : "NO"});
     bench::engine_stats_note(c, "n=" + std::to_string(n));
+    const core::SortPhaseIos& ph = res.stats.phase_ios;
+    auto cell = [&](std::uint64_t ios) {
+      return Table::fmt(static_cast<double>(ios) / static_cast<double>(n), 0) + " (" +
+             Table::fmt(100.0 * static_cast<double>(ios) /
+                            static_cast<double>(std::max<std::uint64_t>(1, ph.total())),
+                        0) +
+             "%)";
+    };
+    phases.add_row({std::to_string(n), cell(ph.quantiles), cell(ph.distribution),
+                    cell(ph.compaction), cell(ph.leaf_sorts), cell(ph.assembly)});
     prev_rand = rand_pb;
     prev_det = det_pb;
     g_e8a.rand_pb_per_level =
@@ -86,6 +98,11 @@ void e8a(std::uint64_t n_max) {
     g_e8a.det_c2 = det_pb / (lg * lg);
   }
   t.print(std::cout);
+  bench::note("rand I/O per block by phase (share of the padded sort): quantiles = "
+              "occupancy scan + Theorem 17, distribution = multiway consolidation + "
+              "shuffle + deal, compaction = step 5 (Theorem 8 / Theorem 6 fallback), "
+              "leaf sorts = deterministic leaves, assembly = level copies + sweep");
+  phases.print(std::cout);
 }
 
 void e8b() {

@@ -26,6 +26,16 @@ struct Ctx {
   /// subproblems once, not every level (a per-level sweep would add a
   /// deterministic-sort cost per level and destroy the I/O bound).
   std::uint64_t sweep_max_blocks = 0;
+  /// Client I/O total at the last phase boundary.
+  std::uint64_t mark = 0;
+
+  /// Charges the I/O since the last boundary to `phase`.  Every stretch of
+  /// the recursion ends in a charge, so the phases partition the sort.
+  void charge(std::uint64_t SortPhaseIos::*phase) {
+    const std::uint64_t now = client.stats().total();
+    stats.phase_ios.*phase += now - mark;
+    mark = now;
+  }
 };
 
 /// Copy `count` blocks from src[0..] to dst[dst_first..], padding with empty
@@ -36,19 +46,57 @@ void copy_blocks(Client& c, const ExtArray& src, const ExtArray& dst,
   pipelined_copy_pad(c, src, 0, dst, dst_first, count);
 }
 
-/// Deterministic base case: copy + private sort or Lemma 2 sort.  Output has
-/// the same block count as the input (>= 1).
-Status sort_node_deterministic(Ctx& ctx, const ExtArray& in, ExtArray* out) {
+/// copy_blocks that also counts, privately, the non-empty records it copies.
+/// Same reads and writes as copy_blocks.
+std::uint64_t copy_counting(Client& c, const ExtArray& src, const ExtArray& dst,
+                            std::uint64_t count) {
+  const std::size_t B = c.B();
+  const std::uint64_t W = std::max<std::uint64_t>(1, c.io_batch_blocks());
+  std::uint64_t real = 0;
+  run_block_pipeline(
+      c, ceil_div(count, W),
+      [&](std::uint64_t t, PipelinePass& io) {
+        io.read_from = &src;
+        io.write_to = &dst;
+        for (std::uint64_t i = t * W; i < std::min(count, (t + 1) * W); ++i) {
+          if (i < src.num_blocks()) io.reads.push_back(i);
+          io.writes.push_back(i);
+        }
+      },
+      [&](std::uint64_t t, std::span<Record> buf) {
+        const std::uint64_t first = t * W;
+        const std::uint64_t have =
+            src.num_blocks() > first ? std::min(W, src.num_blocks() - first) : 0;
+        for (std::size_t r = 0; r < have * B; ++r)
+          if (!buf[r].is_empty()) ++real;
+        std::fill(buf.begin() + static_cast<std::ptrdiff_t>(have * B), buf.end(), Record{});
+      });
+  return real;
+}
+
+/// Deterministic base case: copy + private sort or Lemma 2 sort.  The output
+/// is the sorted copy's first ceil(real_bound/B) + 2 blocks, a view: the
+/// sort moves every non-empty record in front of the empties, so the rest is
+/// padding whenever the public bound holds.  The copy counts the records
+/// privately, and a count past the kept size is a WhpFailure (records would
+/// be cut off); the trace does not depend on it.
+Status sort_node_deterministic(Ctx& ctx, const ExtArray& in, ExtArray* out,
+                               std::uint64_t real_bound) {
   Client& client = ctx.client;
+  const std::size_t B = client.B();
   ++ctx.stats.det_sort_nodes;
   const std::uint64_t n = std::max<std::uint64_t>(in.num_blocks(), 1);
-  *out = client.alloc_blocks(n, Client::Init::kUninit);
-  copy_blocks(client, in, *out, 0, n);
+  const std::uint64_t keep = std::min(n, ceil_div(real_bound, B) + 2);
+  ExtArray sorted = client.alloc_blocks(n, Client::Init::kUninit);
+  const std::uint64_t real = copy_counting(client, in, sorted, n);
   if (n <= client.m()) {
-    sortnet::sort_region_in_cache(client, *out, 0, n);
+    sortnet::sort_region_in_cache(client, sorted, 0, n);
   } else {
-    sortnet::ext_oblivious_sort(client, *out);
+    sortnet::ext_oblivious_sort(client, sorted);
   }
+  *out = sorted.slice_blocks(0, keep);
+  ctx.charge(&SortPhaseIos::leaf_sorts);
+  if (real > keep * B) return Status::WhpFailure("leaf holds more records than its bound");
   return Status::Ok();
 }
 
@@ -75,7 +123,7 @@ Status sort_node(Ctx& ctx, const ExtArray& in, ExtArray* out,
   const bool dense_regime = ctx.opts.paper_dense_rule && m * m * m * m >= n;
   if (n <= min_rec || dense_regime || q64 < 2 ||
       depth >= ctx.opts.max_depth || real_bound <= B * m) {
-    return sort_node_deterministic(ctx, in, out);
+    return sort_node_deterministic(ctx, in, out, real_bound);
   }
   const unsigned q = static_cast<unsigned>(std::min<std::uint64_t>(q64, 255));
   const unsigned colors = q + 1;
@@ -92,8 +140,9 @@ Status sort_node(Ctx& ctx, const ExtArray& in, ExtArray* out,
 
   Status st;  // accumulates this node's *unsweepable* failures
 
-  // --- 1. Splitters.  The private real-record count steers only rank
-  // arithmetic inside the quantile algorithm (see QuantilesOptions).
+  // --- 1. Splitters.  The public bound sizes the quantile algorithm; the
+  // private real-record count steers only its rank arithmetic (see
+  // QuantilesOptions).
   std::uint64_t real_records = 0;
   {
     // Read-only pipelined scan: the occupancy count is private state in the
@@ -113,9 +162,11 @@ Status sort_node(Ctx& ctx, const ExtArray& in, ExtArray* out,
         });
   }
   QuantilesOptions qopts = ctx.opts.quantiles;
+  qopts.real_bound = real_bound;
   qopts.real_records = std::max<std::uint64_t>(real_records, colors + 1);
   if (ctx.opts.sparse_quantiles) qopts.force_sparse = true;
   QuantilesResult quant = oblivious_quantiles(client, in, q, quantile_seed, qopts);
+  ctx.charge(&SortPhaseIos::quantiles);
   // A quantile tail event yields degraded splitters, never a wrong sort:
   // colors stay internally sorted and ordered; the only risk is a capacity
   // overflow downstream, which the loose/deal stages flag themselves.
@@ -145,10 +196,13 @@ Status sort_node(Ctx& ctx, const ExtArray& in, ExtArray* out,
   MultiwayResult mw = multiway_consolidate(client, in, colors, color_of);
   st.Update(mw.status);
 
-  // --- 4. Shuffle and deal.
+  // --- 4. Shuffle and deal.  At most ceil(real_bound/B) full blocks plus
+  // the 4*colors tail blocks of the consolidation can be non-empty.
   shuffle_blocks(client, mw.out, shuffle_coins);
-  DealResult deal = deal_blocks(client, mw.out, colors, color_of, ctx.opts.deal);
+  DealResult deal = deal_blocks(client, mw.out, colors, color_of, ctx.opts.deal,
+                                ceil_div(real_bound, B) + 4ull * colors);
   st.Update(deal.status);
+  ctx.charge(&SortPhaseIos::distribution);
 
   // --- 5. Loose compaction of each color.  The public per-color bound is
   // real_bound/(q+1) plus a sqrt-scale additive slack (quantile rank error
@@ -180,6 +234,7 @@ Status sort_node(Ctx& ctx, const ExtArray& in, ExtArray* out,
       child_inputs[c] = lc.out;  // exactly 5 * r_cap blocks
     }
   }
+  ctx.charge(&SortPhaseIos::compaction);
 
   // --- 6. Recursion.  Only the *sort* statuses are sweepable.
   std::vector<ExtArray> child_out(colors);
@@ -192,20 +247,21 @@ Status sort_node(Ctx& ctx, const ExtArray& in, ExtArray* out,
   }
 
   // --- 7. Level assembly + failure sweeping (fixed trace regardless of the
-  // number of actual failures).
+  // number of actual failures).  Sweep only at the bottom level (public size
+  // test); elsewhere child failures propagate upward unchanged.  A slice
+  // holds a child's output, and when the sweep is active also its input,
+  // which the sweep re-sorts in place of a failed output.
+  const bool sweep_active =
+      ctx.opts.sweep_slots > 0 && 5 * r_cap <= ctx.sweep_max_blocks;
   std::uint64_t slice = 1;
   for (unsigned c = 0; c < colors; ++c) {
     slice = std::max(slice, child_out[c].num_blocks());
-    slice = std::max(slice, child_inputs[c].num_blocks());
+    if (sweep_active) slice = std::max(slice, child_inputs[c].num_blocks());
   }
   ExtArray level = client.alloc_blocks(slice * colors, Client::Init::kUninit);
   for (unsigned c = 0; c < colors; ++c)
     copy_blocks(client, child_out[c], level, c * slice, slice);
 
-  // Sweep only at the bottom level (public size test); elsewhere child
-  // failures propagate upward unchanged.
-  const bool sweep_active =
-      ctx.opts.sweep_slots > 0 && 5 * r_cap <= ctx.sweep_max_blocks;
   const unsigned slots = std::max(1u, ctx.opts.sweep_slots);
   std::vector<int> slot_of(colors, -1);
   unsigned failures = 0;
@@ -232,6 +288,7 @@ Status sort_node(Ctx& ctx, const ExtArray& in, ExtArray* out,
                                      ? "more failed children than sweep slots"
                                      : "child failure above the sweep level"));
   if (!sweep_active) {
+    ctx.charge(&SortPhaseIos::assembly);
     if (!st.ok() && std::getenv("OBLIVEM_DEBUG") != nullptr) {
       std::fprintf(stderr, "[oblivem] sort node depth=%u n=%llu failed: %s\n", depth,
                    static_cast<unsigned long long>(n), st.message().c_str());
@@ -308,6 +365,7 @@ Status sort_node(Ctx& ctx, const ExtArray& in, ExtArray* out,
         });
   }
 
+  ctx.charge(&SortPhaseIos::assembly);
   if (!st.ok() && std::getenv("OBLIVEM_DEBUG") != nullptr) {
     std::fprintf(stderr, "[oblivem] sort node depth=%u n=%llu failed: %s\n", depth,
                  static_cast<unsigned long long>(n), st.message().c_str());
@@ -323,6 +381,7 @@ ObliviousSortResult oblivious_sort_padded(Client& client, const ExtArray& a,
                                           const ObliviousSortOptions& opts) {
   Ctx ctx{client, opts, {}};
   ctx.sweep_max_blocks = 4 * iroot(std::max<std::uint64_t>(a.num_blocks(), 1), 2) + 64;
+  ctx.mark = client.stats().total();
   ObliviousSortResult res;
   res.status = sort_node(ctx, a, out, a.num_records(), seed, 0);
   res.stats = ctx.stats;
@@ -338,12 +397,14 @@ ObliviousSortResult oblivious_sort(Client& client, const ExtArray& a,
 
   // Finish: Lemma 3 consolidation (order-preserving over the already-sorted
   // non-empty records) + Theorem 6 tight compaction, then copy back.
+  const std::uint64_t before = client.stats().total();
   ConsolidateResult cons = consolidate(client, padded, nonempty_pred());
   TightCompactResult tight =
       tight_compact_blocks(client, cons.out, block_nonempty_pred());
   if (tight.occupied > a.num_blocks())
     res.status.Update(Status::WhpFailure("records were lost or duplicated"));
   copy_blocks(client, tight.out, a, 0, a.num_blocks());
+  res.stats.phase_ios.finish = client.stats().total() - before;
   return res;
 }
 

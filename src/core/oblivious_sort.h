@@ -2,7 +2,9 @@
 // paper's main result: O((N/B) log_{M/B}(N/B)) I/Os, success w.h.p.
 //
 // Pipeline per recursion node (paper §5):
-//   1. splitters: q = (M/B)^{1/4} quantiles (Theorem 17);
+//   1. splitters: q = (M/B)^{1/4} quantiles (Theorem 17), sized from the
+//      node's PUBLIC bound on its real records (the private count steers
+//      only rank arithmetic);
 //   2. coloring: each record gets a color in [0, q]; records equal to a
 //      splitter key are spread uniformly among the eligible colors (coin
 //      tie-breaking) so duplicate-heavy inputs still balance -- the output
@@ -10,15 +12,23 @@
 //      order);
 //   3. multi-way consolidation into monochromatic blocks;
 //   4. shuffle-and-deal: Fisher-Yates on blocks, then batched padded
-//      distribution to q+1 color arrays (Lemmas 18/19);
+//      distribution to q+1 color arrays (Lemmas 18/19), the per-batch quota
+//      scaled by the public share of blocks that can be non-empty;
 //   5. loose compaction of each color array (Theorem 8) back to
 //      5x its real content;
-//   6. recursion on each color;
+//   6. recursion on each color; a deterministic leaf keeps only the
+//      ceil(bound/B) + 2 leading blocks of its sorted output (the rest is
+//      padding) and reports a WhpFailure if its records do not fit;
 //   7. failure sweeping: the level always runs a fixed-trace sweep sized for
 //      up to two failed children -- conditional copies of the failed
 //      children's *inputs* into fixed sweep slots, a deterministic oblivious
 //      sort (Lemma 2) of each slot, and conditional copy-back.  Zero
-//      failures sweep empty slots with an identical trace.
+//      failures sweep empty slots with an identical trace.  Levels without
+//      a sweep size their slices by their children's outputs only.
+//
+// Every array size is a function of public parameters -- (n, M, B, the
+// top-level N, seed) -- and each node's bound on its real records is derived
+// from N alone, so the trace is data-independent at every depth.
 //
 // Recursion returns a *padded sorting* (the paper's inductive contract: an
 // O(N)-size array whose non-empty cells are in nondecreasing key order);
@@ -65,6 +75,20 @@ struct ObliviousSortOptions {
   unsigned debug_fail_children_mask = 0;
 };
 
+/// Block I/Os per phase, from client I/O-counter deltas (observing them
+/// issues no I/O).  The phases partition the sort: they sum to its total.
+struct SortPhaseIos {
+  std::uint64_t quantiles = 0;     // occupancy scan + Theorem 17, every node
+  std::uint64_t distribution = 0;  // multiway consolidation, shuffle, deal
+  std::uint64_t compaction = 0;    // step 5: Theorem 8, or the Theorem 6 fallback
+  std::uint64_t leaf_sorts = 0;    // deterministic leaves (copy + Lemma 2)
+  std::uint64_t assembly = 0;      // level assembly + failure sweep
+  std::uint64_t finish = 0;        // Lemma 3 + Theorem 6 + copy-back (oblivious_sort)
+  std::uint64_t total() const {
+    return quantiles + distribution + compaction + leaf_sorts + assembly + finish;
+  }
+};
+
 struct SortStats {
   unsigned levels = 0;            // deepest recursion level reached
   std::uint64_t nodes = 0;        // recursion nodes executed
@@ -73,6 +97,7 @@ struct SortStats {
   std::uint64_t child_failures = 0;  // child statuses that arrived non-ok
   std::uint64_t quantile_tails = 0;  // quantile whp-tail events (harmless unless
                                      // they cause a capacity overflow downstream)
+  SortPhaseIos phase_ios;
 };
 
 struct ObliviousSortResult {

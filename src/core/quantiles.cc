@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/consolidate.h"
+#include "core/sample.h"
 #include "sortnet/external_sort.h"
 #include "util/math.h"
 
@@ -28,13 +29,16 @@ std::vector<std::uint64_t> quantile_ranks(std::uint64_t N, std::uint64_t q) {
 QuantilesResult oblivious_quantiles(Client& client, const ExtArray& a, std::uint64_t q,
                                     std::uint64_t seed, const QuantilesOptions& opts) {
   QuantilesResult res;
-  const std::uint64_t N =
-      opts.real_records != 0 ? opts.real_records : a.num_records();
+  // Nb is public and sizes everything; N is private and sets only ranks.
+  const std::uint64_t Nb = opts.real_bound != 0 ? opts.real_bound : a.num_records();
+  const std::uint64_t N = opts.real_records != 0 ? opts.real_records : Nb;
   const std::size_t B = client.B();
-  if (q == 0 || q + 1 > N) {
+  if (q == 0 || q + 1 > Nb) {
     res.status = Status::InvalidArgument("need 1 <= q and q+1 <= N");
     return res;
   }
+  if (N > Nb)
+    res.status.Update(Status::WhpFailure("more real records than the public bound"));
   rng::Xoshiro coins(seed ^ 0x9ca17e5ULL);
   const std::vector<std::uint64_t> targets = quantile_ranks(N, q);
 
@@ -70,49 +74,33 @@ QuantilesResult oblivious_quantiles(Client& client, const ExtArray& a, std::uint
           if (targets[j] == seen) res.quantiles[j] = r;
       }
     }
-    res.status = Status::Ok();
     return res;
   }
 
-  const double dN = static_cast<double>(N);
-  const double p = std::pow(dN, -0.25);
-  const double n34 = std::pow(dN, 0.75);
-  const double n12 = std::sqrt(dN);
+  const double dNb = static_cast<double>(Nb);
+  const double p = std::pow(dNb, -0.25);
+  const double n12 = std::sqrt(dNb);
+  // Expected number of real records in the sample: N^{3/4} when N = Nb.
+  const double nhat = static_cast<double>(N) * p;
   // Sample-rank slack: the paper's sqrt(N) or the Chernoff c*sqrt(Np).
   const double rank_slack =
       opts.paper_intervals ? n12
-                           : std::ceil(opts.chernoff_c * std::sqrt(dN * p)) + 2.0;
+                           : std::ceil(opts.chernoff_c * std::sqrt(dNb * p)) + 2.0;
 
-  // --- Step 1: sample -> consolidate -> Theorem 4 -> sort.
-  const std::uint64_t c_cap = static_cast<std::uint64_t>(
-      std::ceil(n34 + opts.sample_slack * rank_slack));
-  std::uint64_t sample_count = 0;
-  ConsolidateResult cons = consolidate(
-      client, a, [&](std::uint64_t, const Record& r) {
-        const bool coin = coins.bernoulli(p);
-        const bool d = coin && !r.is_empty();
-        if (d) ++sample_count;
-        return d;
-      });
-  const std::uint64_t c_blocks = ceil_div(c_cap, B) + 1;
-  SparseCompactResult csc =
-      sparse_compact_blocks(client, cons.out, c_blocks, block_nonempty_pred(),
-                            seed ^ 0x9a11ULL, opts.sparse);
-  res.status.Update(csc.status);
-  if (sample_count > c_cap)
-    res.status.Update(Status::WhpFailure("sample overflow (Lemma 14 tail)"));
-  sortnet::ext_oblivious_sort(client, csc.out);
+  // --- Step 1: coin-picked sample, sorted.
+  CoinSample sample = coin_sample(client, a, p, coins);
+  const std::uint64_t sample_count = sample.real;
 
   // --- Step 2: interval endpoints from sample ranks.
   // x_j at sample rank nhat*j/(q+1) - sqrt(N); y_j at
   // |C| - (nhat - nhat*j/(q+1) - 2 sqrt(N)), with nhat = N^{3/4} (paper).
   std::vector<std::int64_t> lo_rank(q), hi_rank(q);
   for (std::uint64_t j = 1; j <= q; ++j) {
-    const double frac = n34 * static_cast<double>(j) / static_cast<double>(q + 1);
+    const double frac = nhat * static_cast<double>(j) / static_cast<double>(q + 1);
     if (opts.paper_intervals) {
       lo_rank[j - 1] = static_cast<std::int64_t>(std::floor(frac - n12));
       hi_rank[j - 1] = static_cast<std::int64_t>(sample_count) -
-                       static_cast<std::int64_t>(std::floor(n34 - frac - 2.0 * n12));
+                       static_cast<std::int64_t>(std::floor(nhat - frac - 2.0 * n12));
     } else {
       lo_rank[j - 1] = static_cast<std::int64_t>(std::floor(frac - rank_slack));
       hi_rank[j - 1] = static_cast<std::int64_t>(std::ceil(frac + rank_slack));
@@ -124,8 +112,8 @@ QuantilesResult oblivious_quantiles(Client& client, const ExtArray& a, std::uint
     CacheLease lease(client.cache(), B + 4 * q);
     BlockBuf blk;
     std::uint64_t seen = 0;
-    for (std::uint64_t b = 0; b < csc.out.num_blocks(); ++b) {
-      client.read_block(csc.out, b, blk);
+    for (std::uint64_t b = 0; b < sample.sorted.num_blocks(); ++b) {
+      client.read_block(sample.sorted, b, blk);
       for (const Record& r : blk) {
         if (r.is_empty()) continue;
         ++seen;
@@ -152,9 +140,9 @@ QuantilesResult oblivious_quantiles(Client& client, const ExtArray& a, std::uint
   // a sizable fraction of the sample) intervals into disjoint SEGMENTS, all
   // privately.  seg_of[j] records which segment absorbed interval j.
   const std::uint64_t interval_cap = std::min<std::uint64_t>(
-      N, static_cast<std::uint64_t>(std::ceil(
+      Nb, static_cast<std::uint64_t>(std::ceil(
              opts.paper_intervals
-                 ? opts.interval_factor * n34
+                 ? opts.interval_factor * std::pow(dNb, 0.75)
                  // Interval spans ~2*rank_slack sample gaps of expected
                  // width 1/p; 3*slack + 8 leaves room for gap-width
                  // deviation (Lemma 15's margin, Chernoff-sized).
@@ -224,7 +212,7 @@ QuantilesResult oblivious_quantiles(Client& client, const ExtArray& a, std::uint
       res.status.Update(Status::WhpFailure("interval overflow (Lemma 15 tail)"));
 
   ConsolidateResult scons = consolidate(client, shadow, nonempty_pred());
-  const std::uint64_t d_cap = std::min<std::uint64_t>(N, q * interval_cap);
+  const std::uint64_t d_cap = std::min<std::uint64_t>(Nb, q * interval_cap);
   const std::uint64_t d_blocks = ceil_div(d_cap, B) + 1;
   SparseCompactResult dsc =
       sparse_compact_blocks(client, scons.out, d_blocks, block_nonempty_pred(),

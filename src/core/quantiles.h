@@ -9,8 +9,9 @@
 // copy + a rank-capturing scan.
 //
 // Sparse case (the paper's main path):
-//   1. Bernoulli(N^{-1/4}) sample -> consolidate -> Theorem-4 compact into C
-//      of N^{3/4} + slack records -> oblivious sort (Lemma 14 bounds |C|);
+//   1. Bernoulli(N^{-1/4}) sample, picked by public coins (core/sample.h):
+//      one scan copies every picked cell of A into C, which is then
+//      obliviously sorted (Lemma 14: C holds about N^{3/4} real records);
 //   2. from C pick interval endpoints [x_j, y_j] around each target sample
 //      rank (x_1 = -inf, y_q = +inf); each interval w.h.p. contains the j-th
 //      quantile (Lemma 16) and covers <= 8 N^{3/4} records of A (Lemma 15);
@@ -24,6 +25,12 @@
 // Step 4 replaces the paper's per-interval padded subarray + per-subarray
 // selection with a single sorted-D scan -- same O(|D| polylog) budget,
 // identical information flow (all branching on private counters), simpler.
+//
+// Padded input (the Theorem 21 recursion): N is then two numbers.  The
+// PUBLIC bound `real_bound` sets the sampling rate and every array size, so
+// the trace is the same for every input of the same shape; the PRIVATE count
+// `real_records` sets only the target ranks.  A count above the bound is
+// reported as a WhpFailure and never widens an array.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +44,6 @@ namespace oem::core {
 
 struct QuantilesOptions {
   double interval_factor = 8.0;  // per-interval capacity: factor * N^{3/4}
-  double sample_slack = 2.0;     // C capacity: N^{3/4} + slack * N^{1/2}
   /// Paper mode uses the N^{1/2} rank slack and 8 N^{3/4} intervals of
   /// Lemmas 14-16, whose constants exceed N at laboratory sizes (the
   /// intervals then cover the whole array).  paper_intervals = false uses
@@ -53,10 +59,13 @@ struct QuantilesOptions {
   bool force_sparse = false;
   SparseCompactOptions sparse;
   std::uint64_t base_case_records = 0;  // 0 = auto (M / 2)
-  /// Number of non-empty records in `a` (for padded arrays).  0 means "all
-  /// num_records() records are real".  This only steers Alice's *private*
-  /// rank arithmetic -- the access trace is identical for any value -- so a
-  /// privately known count is safe to pass.
+  /// PUBLIC upper bound on the non-empty records of `a` (for padded arrays);
+  /// 0 = num_records().  The sampling rate and every array size -- C, the
+  /// interval capacity, D -- come from this bound.
+  std::uint64_t real_bound = 0;
+  /// PRIVATE number of non-empty records of `a`; 0 = real_bound.  It steers
+  /// only Alice's rank arithmetic, so the trace is identical for any value.
+  /// A count above real_bound is flagged WhpFailure.
   std::uint64_t real_records = 0;
 };
 
@@ -67,7 +76,8 @@ struct QuantilesResult {
 
 /// Theorem 17.  Requires 1 <= q and q+1 <= N; the paper's regime is
 /// q <= (M/B)^{1/4} (larger q still works here but loses the O(N/B) bound
-/// because D grows).  All N records of `a` must be non-empty.
+/// because D grows).  `a` may hold empty cells only when opts.real_records
+/// says how many records are real.
 QuantilesResult oblivious_quantiles(Client& client, const ExtArray& a, std::uint64_t q,
                                     std::uint64_t seed,
                                     const QuantilesOptions& opts = {});

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/consolidate.h"
+#include "core/sample.h"
 #include "sortnet/external_sort.h"
 #include "util/math.h"
 
@@ -78,23 +79,9 @@ SelectResult oblivious_select(Client& client, const ExtArray& a, std::uint64_t k
                                 ? n38
                                 : std::ceil(opts.chernoff_c * std::sqrt(expected_sample)) + 2.0;
 
-  // --- Phase 1: Bernoulli(N^{-e}) sample -> consolidate -> Theorem 4 -> sort.
-  const std::uint64_t sample_cap = static_cast<std::uint64_t>(
-      std::ceil(expected_sample + opts.sample_slack * rank_slack));
-  ConsolidateResult cons = consolidate(
-      client, a, [&](std::uint64_t, const Record& r) {
-        const bool coin = coins.bernoulli(p);  // drawn for every record
-        return coin && !r.is_empty();
-      });
-  const std::uint64_t sample_count = cons.distinguished;
-  const std::uint64_t c_blocks = ceil_div(sample_cap, B) + 1;
-  SparseCompactResult csc =
-      sparse_compact_blocks(client, cons.out, c_blocks, block_nonempty_pred(),
-                            seed ^ 0xc0ffee1ULL, opts.sparse);
-  res.status.Update(csc.status);
-  if (sample_count > sample_cap)
-    res.status.Update(Status::WhpFailure("sample overflow (Lemma 10 tail)"));
-  sortnet::ext_oblivious_sort(client, csc.out);
+  // --- Phase 1: Bernoulli(N^{-e}) sample, picked by public coins, sorted.
+  CoinSample sample = coin_sample(client, a, p, coins);
+  const std::uint64_t sample_count = sample.real;
 
   // --- Phase 2: bracketing range [x, y] from sample ranks (Lemma 11).
   // When the back-rank formula goes negative, the paper's y' "does not
@@ -115,7 +102,7 @@ SelectResult oblivious_select(Client& client, const ExtArray& a, std::uint64_t k
           ? static_cast<std::uint64_t>(hi_rank_s)
           : 0};
   std::vector<Record> got;
-  capture_ranks(client, csc.out, want, got);
+  capture_ranks(client, sample.sorted, want, got);
   Record x = want[0] != 0 ? got[0] : kMinusInf;
   Record y = want[1] != 0 ? got[1] : kPlusInf;
 

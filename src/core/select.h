@@ -6,9 +6,9 @@
 // lower bound for compare-exchange-only selection networks (Leighton et al.):
 //
 //   1. mark each record distinguished with probability N^{-1/2} (coins,
-//      data-independent); consolidate (Lemma 3) + Theorem-4-compact the
-//      sample into C of sqrt(N)+N^{3/8} records and sort it (Lemma 2 on a
-//      tiny array);
+//      data-independent); the coins pick the cells, so one scan copies the
+//      sample into C of about sqrt(N) records, which is sorted (Lemma 2 on a
+//      tiny array; core/sample.h);
 //   2. read the sample ranks k/sqrt(N) -+ N^{3/8} to get a bracketing range
 //      [x, y] that w.h.p. contains the k-th element and covers at most
 //      8 N^{7/8} records of A (Lemmas 10-11);
@@ -32,8 +32,6 @@ namespace oem::core {
 struct SelectOptions {
   /// Band capacity factor: D holds band_factor * N^{7/8} records (paper: 8).
   double band_factor = 8.0;
-  /// Sample slack: capacity = N^{1-e} + slack * rank_slack (paper: 1).
-  double sample_slack = 2.0;
   /// Sampling probability p = N^{-sample_exponent} (paper: 1/2).
   double sample_exponent = 0.5;
   /// Paper mode uses the N^{3/8} rank slack and 8 N^{7/8} band of Lemmas

@@ -108,7 +108,8 @@ void shuffle_blocks(Client& client, const ExtArray& a, rng::Xoshiro& coins) {
 }
 
 DealResult deal_blocks(Client& client, const ExtArray& a, unsigned num_colors,
-                       const ColorFn& color_of, const DealOptions& opts) {
+                       const ColorFn& color_of, const DealOptions& opts,
+                       std::uint64_t nonempty_blocks) {
   DealResult res;
   const std::size_t B = client.B();
   const std::uint64_t n = a.num_blocks();
@@ -122,7 +123,13 @@ DealResult deal_blocks(Client& client, const ExtArray& a, unsigned num_colors,
   const std::uint64_t batches = ceil_div(std::max<std::uint64_t>(n, 1), batch);
   std::uint64_t quota = opts.quota;
   if (quota == 0) {
-    const double mean = static_cast<double>(batch) / static_cast<double>(C);
+    // A batch holds batch * density non-empty blocks on average (the shuffle
+    // spreads them), split over C colors.
+    const double density =
+        nonempty_blocks == 0 || n == 0
+            ? 1.0
+            : std::min(1.0, static_cast<double>(nonempty_blocks) / static_cast<double>(n));
+    const double mean = static_cast<double>(batch) * density / static_cast<double>(C);
     quota = static_cast<std::uint64_t>(std::ceil(mean + 4.0 * std::sqrt(mean))) + 4;
   }
   res.batch_blocks = batch;

@@ -52,7 +52,9 @@ struct DealOptions {
   /// Batch size in blocks; 0 = auto: clamp((M/B)^{3/4}, colors, M/B / 2).
   std::uint64_t batch_blocks = 0;
   /// Per-batch per-color slot quota; 0 = auto: mean + 4*sqrt(mean) + 4,
-  /// the practical form of Lemma 18's c*(M/B)^{1/2}.
+  /// the practical form of Lemma 18's c*(M/B)^{1/2}, where mean =
+  /// batch * density / colors and density is the public share of input
+  /// blocks that can be non-empty (see deal_blocks).
   std::uint64_t quota = 0;
 };
 
@@ -65,8 +67,11 @@ struct DealResult {
 };
 
 /// The "deal": distribute the (shuffled, monochromatic) blocks of `a` to
-/// per-color arrays with padded per-batch writes.
+/// per-color arrays with padded per-batch writes.  `nonempty_blocks` is a
+/// PUBLIC upper bound on the non-empty blocks of `a` (0 = all of them); a
+/// padded input then gets a proportionally smaller quota.
 DealResult deal_blocks(Client& client, const ExtArray& a, unsigned num_colors,
-                       const ColorFn& color_of, const DealOptions& opts = {});
+                       const ColorFn& color_of, const DealOptions& opts = {},
+                       std::uint64_t nonempty_blocks = 0);
 
 }  // namespace oem::core

@@ -30,9 +30,12 @@ TEST(FailureSweep, RepairsInjectedChildFailures) {
   opts.paper_dense_rule = false;  // engage the recursive pipeline at lab scale
   opts.debug_fail_children_mask = 0b101;  // children 0 and 2 fail
   ExtArray out;
+  client.reset_stats();
   ObliviousSortResult res = oblivious_sort_padded(client, a, &out, 3, opts);
   ASSERT_TRUE(res.status.ok()) << res.status.message();
   EXPECT_GE(res.stats.sweep_repairs, 2u);
+  // The sweep's I/O is charged too: the phases still sum to the total.
+  EXPECT_EQ(res.stats.phase_ios.total(), client.stats().total());
   auto padded = client.peek(out);
   EXPECT_TRUE(test::same_multiset(padded, v)) << "sweep lost records";
   EXPECT_TRUE(test::keys_nondecreasing(test::non_empty(padded)));

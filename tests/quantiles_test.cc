@@ -86,6 +86,37 @@ TEST(Quantiles, PaddedArrayWithRealRecordsOption) {
     EXPECT_EQ(res.quantiles[j].key, truth[j].key);
 }
 
+TEST(Quantiles, PrivateCountNeverSizesArrays) {
+  // The public bound sets the sampling rate and every array size; the
+  // private count sets only the target ranks.  Any count under one bound
+  // gives the same trace, and a count above the bound is flagged rather than
+  // given more room.
+  std::vector<Record> v(8192);
+  auto real = test::random_records(3000, 5);
+  for (std::size_t i = 0; i < real.size(); ++i) v[i * 2] = real[i];
+  QuantilesOptions opts;
+  opts.paper_intervals = false;
+  opts.force_sparse = true;
+  opts.real_bound = 6000;
+  auto run = [&](std::uint64_t real_records, QuantilesResult* res) {
+    Client client(test::params(4, 64));
+    ExtArray a = client.alloc(v.size(), Client::Init::kUninit);
+    client.poke(a, v);
+    QuantilesOptions o = opts;
+    o.real_records = real_records;
+    *res = oblivious_quantiles(client, a, 3, 11, o);
+    return client.device().trace().hash();
+  };
+  QuantilesResult exact, under, over;
+  const std::uint64_t h = run(3000, &exact);
+  ASSERT_TRUE(exact.status.ok()) << exact.status.message();
+  auto truth = true_quantiles(real, 3);
+  for (std::uint64_t j = 0; j < 3; ++j) EXPECT_EQ(exact.quantiles[j].key, truth[j].key);
+  EXPECT_EQ(run(5000, &under), h);
+  EXPECT_EQ(run(7000, &over), h);
+  EXPECT_EQ(over.status.code(), StatusCode::kWhpFailure);
+}
+
 TEST(Quantiles, SucceedsAcrossSeeds) {
   Client client(test::params(4, 64));
   auto v = test::random_records(4096, 19);

@@ -201,6 +201,33 @@ TEST(Deal, ShuffleAvoidsHotSpotOverflow) {
   EXPECT_EQ(drops_shuffled, 0u) << "shuffle-and-deal should break the hot spot";
 }
 
+TEST(Deal, QuotaScalesWithPublicDensity) {
+  // A 5x padded input: 100 real blocks among 500.  With the public bound on
+  // its non-empty blocks the per-batch quota shrinks to the real density,
+  // and after the shuffle every real block still fits.
+  const std::uint64_t n = 500, real = 100;
+  Client client(test::params(4, 1024));
+  ExtArray a = client.alloc_blocks(n, Client::Init::kUninit);
+  std::vector<Record> flat(n * 4);
+  for (std::uint64_t b = 0; b < real; ++b)
+    for (std::size_t r = 0; r < 4; ++r) flat[b * 4 + r] = {b % 3, b};
+  client.poke(a, flat);
+  rng::Xoshiro coins(7);
+  shuffle_blocks(client, a, coins);
+  auto color = [](const Record& r) { return static_cast<unsigned>(r.key); };
+  DealResult dense = deal_blocks(client, a, 3, color);
+  DealResult sparse = deal_blocks(client, a, 3, color, {}, real);
+  ASSERT_TRUE(sparse.status.ok()) << sparse.status.message();
+  EXPECT_LT(sparse.quota, dense.quota / 2);
+  std::uint64_t landed = 0;
+  for (const ExtArray& arr : sparse.colors) {
+    auto out = client.peek(arr);
+    for (std::size_t b = 0; b * 4 < out.size(); ++b)
+      if (!out[b * 4].is_empty()) ++landed;
+  }
+  EXPECT_EQ(landed, real);
+}
+
 TEST(Deal, IsOblivious) {
   auto result = obliv::check_oblivious(
       test::params(4, 512), 256, obliv::canonical_inputs(13),

@@ -134,6 +134,83 @@ TEST(ObliviousSort, IsOblivious) {
   EXPECT_TRUE(result.oblivious) << result.diagnosis;
 }
 
+// E8a's shape options: the paper's dense rule off, so Theorem 21 recurses at
+// laboratory sizes.
+ObliviousSortOptions shape_options(std::uint64_t min_recursive_blocks) {
+  ObliviousSortOptions opts;
+  opts.paper_dense_rule = false;
+  opts.sparse_quantiles = true;
+  opts.quantiles.paper_intervals = false;
+  opts.min_recursive_blocks = min_recursive_blocks;
+  return opts;
+}
+
+TEST(ObliviousSort, RecursiveShapeIsOblivious) {
+  // IsOblivious runs under the dense rule and never recurses.  Here every
+  // node below the root holds padding, so any array sized from a node's
+  // private record count would show in the trace.
+  const ObliviousSortOptions opts = shape_options(512);
+  auto result = obliv::check_oblivious(
+      test::params(8, 512), 8 * 1024, obliv::canonical_inputs(14),
+      [&](Client& c, const ExtArray& a) {
+        auto res = oblivious_sort(c, a, 5, opts);
+        EXPECT_GT(res.stats.nodes, 1u) << "did not recurse";
+      });
+  EXPECT_TRUE(result.oblivious) << result.diagnosis;
+}
+
+TEST(ObliviousSort, OverfullLeafFailsInsteadOfDroppingRecords) {
+  // B=8, m=256: the root deals 5 colors through the Theorem 6 fallback and
+  // its children are deterministic leaves, which keep only the blocks their
+  // public bound allows.  color_slack = 0 still covers the real occupancy;
+  // -0.25 starves it, so the leaves overflow what they keep.  Every run must
+  // then either report failure or still sort correctly; none may return ok
+  // with records cut off.
+  const std::uint64_t N = 8 * 1024;
+  auto v = test::random_records(N, 4);
+  auto sorted = v;
+  std::sort(sorted.begin(), sorted.end(), RecordLess{});
+  int failures = 0;
+  for (double slack : {0.0, -0.25}) {
+    ObliviousSortOptions opts = shape_options(512);
+    opts.color_slack = slack;
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      Client client(test::params(8, 8 * 256));
+      ExtArray a = client.alloc(N, Client::Init::kUninit);
+      client.poke(a, v);
+      auto res = oblivious_sort(client, a, seed, opts);
+      EXPECT_GT(res.stats.det_sort_nodes, 1u) << "did not recurse";
+      if (!res.status.ok()) {
+        ++failures;
+        continue;
+      }
+      auto out = client.peek(a);
+      std::sort(out.begin(), out.end(), RecordLess{});
+      EXPECT_EQ(out, sorted) << "slack " << slack << " seed " << seed
+                             << " returned ok without all its records";
+    }
+  }
+  EXPECT_GE(failures, 1) << "the starved bound never overflowed a leaf";
+}
+
+TEST(ObliviousSort, PhaseIosSumToTotal) {
+  Client client(test::params(8, 512));
+  const std::uint64_t N = 8 * 1024;
+  ExtArray a = client.alloc(N, Client::Init::kUninit);
+  client.poke(a, test::random_records(N, 6));
+  client.reset_stats();
+  auto res = oblivious_sort(client, a, 3, shape_options(512));
+  ASSERT_TRUE(res.status.ok()) << res.status.message();
+  const SortPhaseIos& p = res.stats.phase_ios;
+  EXPECT_EQ(p.total(), client.stats().total());
+  EXPECT_GT(p.quantiles, 0u);
+  EXPECT_GT(p.distribution, 0u);
+  EXPECT_GT(p.compaction, 0u);
+  EXPECT_GT(p.leaf_sorts, 0u);
+  EXPECT_GT(p.assembly, 0u);
+  EXPECT_GT(p.finish, 0u);
+}
+
 TEST(ObliviousSort, GrowthRateBelowDeterministic) {
   // E8's headline shape: per-block I/O of the randomized sort grows like
   // log_m(n) (one extra recursion level per q-fold size increase) while the
