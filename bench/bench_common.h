@@ -45,12 +45,6 @@ inline std::size_t& global_pipeline_depth() {
   return depth;
 }
 
-/// Compute-plane lanes from --compute-threads (1 = serial, the default).
-inline std::size_t& global_compute_threads() {
-  static std::size_t threads = 1;
-  return threads;
-}
-
 /// Durable freshness state file from --state-path ("" = off); params() wires
 /// it into ClientParams::state_path (and hydrates a pre-existing file).
 inline std::string& global_state_path() {
@@ -107,7 +101,6 @@ inline ClientParams params(std::size_t B, std::uint64_t M, std::uint64_t seed = 
   p.backend = global_backend();
   p.io_retry_attempts = global_retry_attempts();
   p.pipeline_depth = global_pipeline_depth();
-  p.compute_threads = global_compute_threads();
   p.state_path = global_state_path();
   if (!p.state_path.empty()) {
     // Reload a persisted freshness state (restart semantics); a corrupt
@@ -217,14 +210,6 @@ inline BackendFactory backend_from_flags(const Flags& flags,
       static_cast<std::size_t>(flags.get_u64("depth", 2));
   if (global_pipeline_depth() < 1) {
     std::fprintf(stderr, "--depth must be >= 1\n");
-    std::exit(2);
-  }
-  // --compute-threads=N splits each pipeline window's compute (and all block
-  // crypto) across N lanes -- the compute-plane twin of --depth.
-  global_compute_threads() =
-      static_cast<std::size_t>(flags.get_u64("compute-threads", 1));
-  if (global_compute_threads() > 256) {
-    std::fprintf(stderr, "--compute-threads must be <= 256\n");
     std::exit(2);
   }
   FaultProfile fault_profile;

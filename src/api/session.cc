@@ -136,11 +136,6 @@ Session::Builder& Session::Builder::pipeline_depth(std::size_t k) {
   return *this;
 }
 
-Session::Builder& Session::Builder::compute_threads(std::size_t n) {
-  params_.compute_threads = n;
-  return *this;
-}
-
 Session::Builder& Session::Builder::cache(std::size_t blocks) {
   cache_seen_ = true;
   cache_blocks_ = blocks;
@@ -233,9 +228,6 @@ Result<Session> Session::Builder::build() const {
     return Status::InvalidArgument(
         "pipeline_depth(k) needs 1 <= k <= 64 (1 = sequential windows, "
         "2 = double buffer)");
-  if (params.compute_threads > 256)
-    return Status::InvalidArgument(
-        "compute_threads(n) needs n <= 256 (0 and 1 both mean serial)");
   if (cache_seen_ && (cache_blocks_ < 1 || cache_blocks_ > (1u << 20)))
     return Status::InvalidArgument(
         "cache(blocks) needs 1 <= blocks <= 1048576; to disable the cache, "

@@ -110,18 +110,6 @@ class Session {
     /// scheduling parameter: the recorded trace is a function of
     /// (algorithm, N, M, B, seed, depth), never of data.
     Builder& pipeline_depth(std::size_t k);
-    /// Compute-plane lanes (master + n-1 workers) for block crypto and the
-    /// chunk-parallel pipeline passes; 0 and 1 both mean serial (the
-    /// default), larger n fans pure per-chunk work out across a persistent
-    /// worker pool.  Legal range 1..256 (0 is accepted as 1).  Orthogonal to
-    /// pipeline_depth(): depth overlaps COMPUTE WITH I/O across windows,
-    /// compute_threads splits ONE window's compute across cores -- combine
-    /// them freely (e.g. depth 4 x 4 threads keeps the wire and every core
-    /// busy at once).  Like depth, a public scheduling parameter: nonces are
-    /// drawn and trace/stat events recorded on the master thread in program
-    /// order, so the device trace and every ciphertext byte are identical at
-    /// any thread count -- only wall time changes.
-    Builder& compute_threads(std::size_t n);
     /// LRU write-back block cache of `blocks` blocks (CachingBackend):
     /// re-touched reads are served client-side, writes are absorbed and
     /// reach the store below only on eviction (dirty neighbors coalesced

@@ -225,26 +225,22 @@ void expand_cells_backward(std::span<Record> buf, std::uint64_t k, std::uint64_t
 }
 
 /// Copy-out contraction, shared by both routing directions: collapse routed
-/// payload+metadata cell pairs into one output block each (occupied cells
-/// keep their payload, the rest read empty).  Each output block is a pure
-/// function of its own cell pair, so the scan chunks across the compute
-/// pool; the copy-in scans stay serial (they carry running state across
-/// cells: the empties counter / the prev_target monotonicity check).
-ParallelCompute chunked_contract_cells(std::size_t B, BlockBuf empty) {
-  return {[B, empty = std::move(empty)](std::uint64_t, std::span<const Record> in,
-                                        std::uint64_t first_block,
-                                        std::span<Record> out) {
-            const std::size_t k = out.size() / B;
-            for (std::size_t b = 0; b < k; ++b) {
-              const std::size_t cell = static_cast<std::size_t>(first_block) + b;
-              const Record meta = in[(2 * cell + 1) * B];
-              const bool occupied = meta.key != 0;
-              assert(!occupied || meta.value == 0);
-              const Record* src = occupied ? in.data() + 2 * cell * B : empty.data();
-              std::copy_n(src, B, out.begin() + static_cast<std::ptrdiff_t>(b * B));
-            }
-          },
-          0};
+/// payload+metadata cell pairs in place into one output block each
+/// (occupied cells keep their payload, the rest read empty).  A forward scan
+/// is safe: output block b comes only from input blocks 2b and 2b+1, which
+/// no earlier output block overwrote.
+PassComputeFn contract_cells(std::size_t B, BlockBuf empty) {
+  return [B, empty = std::move(empty)](std::uint64_t, std::span<Record> buf) {
+    const std::size_t k = buf.size() / (2 * B);
+    for (std::size_t b = 0; b < k; ++b) {
+      const Record meta = buf[(2 * b + 1) * B];
+      const bool occupied = meta.key != 0;
+      assert(!occupied || meta.value == 0);
+      if (b == 0 && occupied) continue;  // cell 0's payload is already in place
+      const Record* src = occupied ? buf.data() + 2 * b * B : empty.data();
+      std::copy_n(src, B, buf.begin() + static_cast<std::ptrdiff_t>(b * B));
+    }
+  };
 }
 
 }  // namespace
@@ -324,7 +320,7 @@ TightCompactResult tight_compact_blocks(Client& client, const ExtArray& a,
           }
           for (std::uint64_t c = 0; c < k; ++c) io.writes.push_back(first + c);
         },
-        chunked_contract_cells(B, empty));
+        contract_cells(B, empty));
   }
   client.release(w);
   return res;
@@ -394,7 +390,7 @@ ExtArray expand_blocks(Client& client, const ExtArray& a, std::uint64_t count,
           }
           for (std::uint64_t c = 0; c < k; ++c) io.writes.push_back(first + c);
         },
-        chunked_contract_cells(B, empty));
+        contract_cells(B, empty));
   }
   client.release(w);
   return out;

@@ -30,7 +30,6 @@ Client::Client(const ClientParams& params)
     : B_(params.block_records),
       M_(params.cache_records),
       io_batch_(params.io_batch_blocks),
-      compute_model_ns_(params.compute_model_ns_per_block),
       state_path_(params.state_path),
       seed_(params.seed),
       store_namespace_(params.store_namespace),
@@ -38,7 +37,6 @@ Client::Client(const ClientParams& params)
           kBlockHeaderWords + params.block_records * kWordsPerRecord,
           params.backend, RetryPolicy{params.io_retry_attempts},
           params.pipeline_depth)),
-      pool_(std::make_unique<ComputePool>(params.compute_threads)),
       enc_(rng::mix64(params.seed ^ 0x5bf0363546294ce7ULL), params.seed),
       meter_(params.cache_records, params.strict_cache),
       rng_(params.seed) {
@@ -224,25 +222,18 @@ void Client::decrypt_blocks(std::span<const std::uint64_t> dev_ids,
   assert(out.size() == dev_ids.size() * B_);
   if (dev_ids.empty()) return;
   const auto t0 = std::chrono::steady_clock::now();
-  // Each block's verify + keystream is independent: chunk the window across
-  // the pool.  Lanes verify into their verdict slots (open_words copies into
-  // a per-lane scratch, so `wire` -- the pipeline's reusable staging -- is
-  // left untouched); the master reduces the verdicts after the fan-in and
-  // fails closed on the first bad block.
-  verdicts_.assign(dev_ids.size(), 1);
-  pool_->parallel_for(dev_ids.size(), 0, [&](std::size_t first, std::size_t last) {
-    for (std::size_t j = first; j < last; ++j) {
-      if (!open_words(dev_ids[j], wire.subspan(j * bw, bw),
-                      out.subspan(j * B_, B_)))
-        verdicts_[j] = 0;
+  std::size_t bad = dev_ids.size();
+  for (std::size_t j = 0; j < dev_ids.size(); ++j) {
+    if (!open_words(dev_ids[j], wire.subspan(j * bw, bw), out.subspan(j * B_, B_))) {
+      bad = j;
+      break;
     }
-  });
+  }
   dev_->add_crypto_ns(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count()));
-  for (std::size_t j = 0; j < dev_ids.size(); ++j)
-    if (!verdicts_[j]) integrity_fail(dev_ids[j]);
+  if (bad < dev_ids.size()) integrity_fail(dev_ids[bad]);
 }
 
 void Client::encrypt_blocks(std::span<const std::uint64_t> dev_ids,
@@ -252,21 +243,12 @@ void Client::encrypt_blocks(std::span<const std::uint64_t> dev_ids,
   assert(in.size() == dev_ids.size() * B_);
   if (dev_ids.empty()) return;
   const auto t0 = std::chrono::steady_clock::now();
-  // Nonces mutate the Encryptor's state and version bumps mutate the device's
-  // anti-rollback table: draw both sequentially on the master, in scatter
-  // order, BEFORE fanning out -- ciphertexts and MACs are then a function of
-  // the write sequence alone, never of the lane count.
-  versions_scratch_.resize(dev_ids.size());
   for (std::size_t j = 0; j < dev_ids.size(); ++j) {
-    wire[j * bw] = enc_.fresh_nonce();
-    versions_scratch_[j] = dev_->bump_version(dev_ids[j]);
+    const Word nonce = enc_.fresh_nonce();
+    const std::uint64_t version = dev_->bump_version(dev_ids[j]);
+    seal_words(dev_ids[j], nonce, version, in.subspan(j * B_, B_),
+               wire.subspan(j * bw, bw));
   }
-  pool_->parallel_for(dev_ids.size(), 0, [&](std::size_t first, std::size_t last) {
-    for (std::size_t j = first; j < last; ++j) {
-      seal_words(dev_ids[j], wire[j * bw], versions_scratch_[j],
-                 in.subspan(j * B_, B_), wire.subspan(j * bw, bw));
-    }
-  });
   dev_->add_crypto_ns(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)

@@ -22,7 +22,6 @@
 
 #include "extmem/backend.h"
 #include "extmem/cache_meter.h"
-#include "extmem/compute_pool.h"
 #include "extmem/device.h"
 #include "extmem/encryption.h"
 #include "extmem/ext_array.h"
@@ -55,18 +54,6 @@ struct ClientParams {
   /// computing.  A public scheduling parameter like B: the submission order
   /// (hence the trace) is a function of (passes, depth), never of the data.
   std::size_t pipeline_depth = 2;
-  /// Compute-plane lanes (master + workers) for the ComputePool driving
-  /// block crypto and chunk-parallel pipeline compute.  0 and 1 both mean
-  /// serial/inline.  Like depth, a public scheduling parameter: nonces are
-  /// drawn and trace/stat events recorded on the master in program order, so
-  /// the device trace (and every ciphertext) is byte-identical at any lane
-  /// count -- only wall time changes.
-  std::size_t compute_threads = 1;
-  /// Modeled per-block compute cost (ns) added in the pipeline compute phase
-  /// -- slept on whichever lane computes the block, so multicore scaling
-  /// claims are core-count independent (the bench_server_load precedent).
-  /// 0 = off (the default; real workloads pay only their real compute).
-  std::uint64_t compute_model_ns_per_block = 0;
   /// Durable freshness state file (extmem/freshness.h).  Empty = the PR 8
   /// behavior: the anti-rollback table lives and dies with the process.
   /// Non-empty: persist_state() (and the destructor, best-effort) seal the
@@ -108,10 +95,6 @@ class Client {
   const BlockDevice& device() const { return *dev_; }
   CacheMeter& cache() { return meter_; }
   rng::Xoshiro& rng() { return rng_; }
-  /// The compute plane's worker pool (threads() == 1 means serial/inline).
-  ComputePool& compute_pool() { return *pool_; }
-  /// Modeled per-block compute cost for the pipeline (0 = off).
-  std::uint64_t compute_model_ns_per_block() const { return compute_model_ns_; }
 
   enum class Init { kUninit, kEmpty };
 
@@ -147,15 +130,13 @@ class Client {
   // --- ciphertext staging for the I/O-engine pipeline (extmem/pipeline.h) ---
 
   /// Decrypt a wire buffer of `dev_ids.size()` blocks (gather order, as
-  /// returned by a completed device read) into records.  Each block's
-  /// keystream is independent, so the window is chunked across the compute
-  /// pool's lanes; the output bytes are identical at any lane count.
+  /// returned by a completed device read) into records.  Fails closed on the
+  /// first block, in gather order, that does not authenticate.
   void decrypt_blocks(std::span<const std::uint64_t> dev_ids,
                       std::span<const Word> wire, std::span<Record> out);
-  /// Serialize + encrypt records into a wire buffer.  Nonces are drawn in
-  /// scatter order on the calling (master) thread BEFORE the pool fans the
-  /// keystream work out, so every ciphertext is deterministic regardless of
-  /// lane count or how the transfer is dispatched.
+  /// Serialize + encrypt records into a wire buffer.  Nonces are drawn and
+  /// versions bumped in scatter order, so every ciphertext is a function of
+  /// the write sequence alone, however the transfer is dispatched.
   void encrypt_blocks(std::span<const std::uint64_t> dev_ids,
                       std::span<const Record> in, std::span<Word> wire);
 
@@ -187,9 +168,7 @@ class Client {
   void deserialize(std::span<const Word> in_words, std::span<Record> out) const;
 
   /// Serialize + encrypt + authenticate one block into `w` (block_words()
-  /// wide, layout [nonce][mac][ciphertext]).  Pure given (nonce, version), so
-  /// compute-pool lanes can seal in parallel after the master drew nonces and
-  /// bumped versions in scatter order.
+  /// wide, layout [nonce][mac][ciphertext]).  Pure given (nonce, version).
   void seal_words(std::uint64_t dev_blk, Word nonce, std::uint64_t version,
                   std::span<const Record> in, std::span<Word> w) const;
   /// Verify + decrypt one stored block.  Returns false when authentication
@@ -206,13 +185,11 @@ class Client {
   std::size_t B_;
   std::uint64_t M_;
   std::uint64_t io_batch_;
-  std::uint64_t compute_model_ns_;
   std::string state_path_;
   std::uint64_t seed_;             // keys the state-file MAC (domain-separated)
   std::uint64_t store_namespace_;  // persisted so a restart reuses it
   std::uint64_t state_generation_ = 0;  // last loaded/saved generation
   std::unique_ptr<BlockDevice> dev_;
-  std::unique_ptr<ComputePool> pool_;
   Encryptor enc_;
   CacheMeter meter_;
   rng::Xoshiro rng_;
@@ -221,12 +198,6 @@ class Client {
   // Staging for batched I/O: ciphertext words and block ids for one window.
   std::vector<Word> wire_many_;
   std::vector<std::uint64_t> ids_;
-  // Per-block versions drawn on the master for one encrypt_blocks window
-  // (scatter order, before the lanes fan out -- like nonces).
-  std::vector<std::uint64_t> versions_scratch_;
-  // Per-block verification verdicts for one decrypt_blocks window: lanes
-  // write their slot, the master reduces after the fan-in and fails closed.
-  std::vector<std::uint8_t> verdicts_;
 };
 
 }  // namespace oem

@@ -155,7 +155,7 @@ class BlockDevice {
     pending_drain_.clear();
   }
 
-  /// Credit compute-plane wall time to the stats (master thread only; see
+  /// Credit compute wall time to the stats (caller's thread; see
   /// IoStats::compute_ns/crypto_ns).
   void add_compute_ns(std::uint64_t ns) { stats_.compute_ns += ns; }
   void add_crypto_ns(std::uint64_t ns) { stats_.crypto_ns += ns; }

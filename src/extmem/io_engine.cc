@@ -301,9 +301,12 @@ void AsyncBackend::io_loop() {
   // server-reported failure leaves later in-flight ops having observed state
   // from BEFORE this op's recovery.  Either way the whole window is drained
   // and every op replayed synchronously IN ORDER under the retry budget (the
-  // inner backend reconnects on the replay).  Replay is idempotent: the
-  // server's applied state is always a prefix of the sent frames, and
-  // re-applying a prefix in order converges to the same final state.
+  // inner backend reconnects on the replay).  The server's applied state is
+  // always a prefix of the sent frames, and re-applying a prefix of writes
+  // in order converges to the same final state.  A replayed read is exact
+  // only if no LATER write in the window touches its blocks (the server may
+  // already have applied that write); the loop below never begins such a
+  // write while an overlapping read is in flight.
   auto complete_front = [&] {
     auto drained_status = [&](Op& op) {
       if (op.noop) return Status::Ok();
@@ -326,6 +329,17 @@ void AsyncBackend::io_loop() {
     }
     for (Op& op : inflight) recycle_op(std::move(op));
     inflight.clear();
+  };
+
+  std::vector<std::uint64_t> write_set;  // sorted blocks of the write to begin
+  // True when an in-flight read shares a block with the sorted `blocks`.
+  auto read_in_flight_overlaps = [&](const std::vector<std::uint64_t>& blocks) {
+    for (const Op& o : inflight) {
+      if (o.is_write) continue;
+      for (std::uint64_t b : o.blocks)
+        if (std::binary_search(blocks.begin(), blocks.end(), b)) return true;
+    }
+    return false;
   };
 
   for (;;) {
@@ -356,6 +370,11 @@ void AsyncBackend::io_loop() {
       continue;
     }
     while (inflight.size() >= cap) complete_front();
+    if (op.is_write && !op.blocks.empty()) {
+      write_set.assign(op.blocks.begin(), op.blocks.end());
+      std::sort(write_set.begin(), write_set.end());
+      while (read_in_flight_overlaps(write_set)) complete_front();
+    }
     op.noop = op.blocks.empty();
     op.begun = op.noop ? Status::Ok()
                : op.is_write

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <thread>
 
 #include "extmem/arena.h"
 
@@ -68,12 +67,6 @@ struct DrainOnUnwind {
   }
 };
 
-/// Serial-or-chunked compute selector (exactly one pointer is set).
-struct ComputeDispatch {
-  const PassComputeFn* serial = nullptr;
-  const ParallelCompute* chunked = nullptr;
-};
-
 std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -81,18 +74,11 @@ std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
-/// Modeled per-block compute cost (ClientParams::compute_model_ns_per_block):
-/// slept on whichever lane computes the blocks, so bench scaling claims are
-/// core-count independent (the bench_server_load precedent).
-void model_compute(std::uint64_t model_ns, std::uint64_t blocks) {
-  if (model_ns == 0 || blocks == 0) return;
-  std::this_thread::sleep_for(std::chrono::nanoseconds(model_ns * blocks));
-}
+}  // namespace
 
-void run_block_pipeline_impl(Client& client, std::uint64_t passes,
-                             const PassDescribeFn& describe,
-                             const ComputeDispatch& compute,
-                             PipelineOptions options) {
+void run_block_pipeline(Client& client, std::uint64_t passes,
+                        const PassDescribeFn& describe, const PassComputeFn& compute,
+                        PipelineOptions options) {
   if (passes == 0) return;
   BlockDevice& dev = client.device();
   const std::size_t bw = dev.block_words();
@@ -159,13 +145,6 @@ void run_block_pipeline_impl(Client& client, std::uint64_t passes,
 
   CacheLease lease(client.cache(), 0);
   std::vector<Record> buf;
-  // Chunked passes stage their output separately from the gathered input
-  // (in/out separation is what lets chunks run concurrently).  Like the
-  // ciphertext wire buffers, this staging is not metered against the cache:
-  // the lease covers the same max(reads, writes) blocks as the serial path,
-  // so strict-cache accounting is identical at any lane count.
-  std::vector<Record> obuf;
-  const std::uint64_t model_ns = client.compute_model_ns_per_block();
   DrainOnUnwind unwind_guard{dev};
 
   std::uint64_t described = 0;  // windows [0, described) have run describe()
@@ -207,31 +186,10 @@ void run_block_pipeline_impl(Client& client, std::uint64_t passes,
                           std::span<const Word>(cur.wire.data(), cur.wire.size()),
                           std::span<Record>(buf).first(cur.dev_reads.size() * B));
 
-    // Compute phase.  Serial passes run in place on the master (stateful
-    // scans depend on strict pass order); chunked passes fan the output
-    // window across the compute pool, each chunk a pure function of the
-    // shared gathered input.  Wall time (including the pool barrier) is
-    // credited to the stats on the master.
+    // Compute phase, in place on the caller's thread.
     const std::size_t out_blocks = cur.dev_writes.size();
     const auto c0 = std::chrono::steady_clock::now();
-    std::span<const Record> wsrc;
-    if (compute.serial != nullptr) {
-      (*compute.serial)(t, std::span<Record>(buf).first(nblocks * B));
-      model_compute(model_ns, nblocks);
-      wsrc = std::span<const Record>(buf).first(out_blocks * B);
-    } else {
-      obuf.resize(out_blocks * B);
-      const std::span<const Record> in(buf.data(), cur.dev_reads.size() * B);
-      client.compute_pool().parallel_for(
-          out_blocks, compute.chunked->grain_blocks,
-          [&](std::size_t first, std::size_t last) {
-            compute.chunked->chunk(
-                t, in, first,
-                std::span<Record>(obuf).subspan(first * B, (last - first) * B));
-            model_compute(model_ns, last - first);
-          });
-      wsrc = std::span<const Record>(obuf);
-    }
+    compute(t, std::span<Record>(buf).first(nblocks * B));
     dev.add_compute_ns(ns_since(c0));
 
     // Encrypt the whole window into the slot's write staging once and hand
@@ -243,7 +201,8 @@ void run_block_pipeline_impl(Client& client, std::uint64_t passes,
     if (!cur.dev_writes.empty()) {
       const std::size_t wneed = out_blocks * bw;
       if (cur.wwire.size() != wneed) cur.wwire.resize(wneed);
-      client.encrypt_blocks(cur.dev_writes, wsrc,
+      client.encrypt_blocks(cur.dev_writes,
+                            std::span<const Record>(buf).first(out_blocks * B),
                             std::span<Word>(cur.wwire.data(), cur.wwire.size()));
       for (std::size_t i = 0; i < cur.dev_writes.size(); i += W) {
         const std::size_t k = std::min(W, cur.dev_writes.size() - i);
@@ -261,24 +220,6 @@ void run_block_pipeline_impl(Client& client, std::uint64_t passes,
   dev.drain();  // writes are durable before the caller touches other paths
 }
 
-}  // namespace
-
-void run_block_pipeline(Client& client, std::uint64_t passes,
-                        const PassDescribeFn& describe, const PassComputeFn& compute,
-                        PipelineOptions options) {
-  ComputeDispatch dispatch;
-  dispatch.serial = &compute;
-  run_block_pipeline_impl(client, passes, describe, dispatch, options);
-}
-
-void run_block_pipeline(Client& client, std::uint64_t passes,
-                        const PassDescribeFn& describe, const ParallelCompute& compute,
-                        PipelineOptions options) {
-  ComputeDispatch dispatch;
-  dispatch.chunked = &compute;
-  run_block_pipeline_impl(client, passes, describe, dispatch, options);
-}
-
 void pipelined_copy_pad(Client& client, const ExtArray& src, std::uint64_t src_first,
                         const ExtArray& dst, std::uint64_t dst_first,
                         std::uint64_t count) {
@@ -287,23 +228,6 @@ void pipelined_copy_pad(Client& client, const ExtArray& src, std::uint64_t src_f
   const std::uint64_t avail =
       src.num_blocks() > src_first ? src.num_blocks() - src_first : 0;
   const std::uint64_t chunks = count == 0 ? 0 : (count + W - 1) / W;
-  // Chunk-parallel: output block j of a window is the gathered input block j
-  // when the source covered it, an explicit empty block otherwise -- a pure
-  // per-chunk function of the shared input.
-  ParallelCompute copy_pad{
-      [B](std::uint64_t, std::span<const Record> in, std::uint64_t first_block,
-          std::span<Record> out) {
-        const std::size_t k = out.size() / B;
-        for (std::size_t b = 0; b < k; ++b) {
-          const std::size_t src_off = (first_block + b) * B;
-          if (src_off + B <= in.size())
-            std::copy_n(in.begin() + static_cast<std::ptrdiff_t>(src_off), B,
-                        out.begin() + static_cast<std::ptrdiff_t>(b * B));
-          else  // past-the-source blocks pad as explicit empties
-            std::fill_n(out.begin() + static_cast<std::ptrdiff_t>(b * B), B, Record{});
-        }
-      },
-      0};
   run_block_pipeline(
       client, chunks,
       [&](std::uint64_t t, PipelinePass& io) {
@@ -316,7 +240,15 @@ void pipelined_copy_pad(Client& client, const ExtArray& src, std::uint64_t src_f
           io.writes.push_back(dst_first + first + j);
         }
       },
-      copy_pad);
+      [&](std::uint64_t t, std::span<Record> buf) {
+        // The gathered source blocks already sit in place; blocks past the
+        // source pad as explicit empties.
+        const std::uint64_t first = t * W;
+        const std::uint64_t have =
+            first < avail ? std::min<std::uint64_t>(buf.size() / B, avail - first) : 0;
+        std::fill(buf.begin() + static_cast<std::ptrdiff_t>(have * B), buf.end(),
+                  Record{});
+      });
 }
 
 }  // namespace oem

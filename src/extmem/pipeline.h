@@ -70,32 +70,9 @@ using PassDescribeFn = std::function<void(std::uint64_t t, PipelinePass& io)>;
 /// On entry the first reads*B records hold the gathered plaintext; on return
 /// the first writes*B records must hold the scatter plaintext.  Records
 /// beyond the gathered prefix are unspecified on entry.  Called strictly in
-/// pass order, so stateful scans (running counters, pending buffers) work.
+/// pass order on the caller's thread, so stateful scans (running counters,
+/// pending buffers) work.
 using PassComputeFn = std::function<void(std::uint64_t t, std::span<Record> buf)>;
-
-/// Chunk-parallel compute for passes whose output blocks are a PURE function
-/// of the gathered input: `in` is pass t's full gathered plaintext
-/// (reads * B records, read-only, shared by every chunk), `first_block` the
-/// chunk's offset in the pass's OUTPUT window (block units), and `out` the
-/// chunk's slice of the output (scattered in write order after all chunks
-/// retire).  Chunks of one pass run concurrently on the compute pool in any
-/// order, so the function must not touch shared mutable state -- stateful
-/// scans keep the serial PassComputeFn path.  In/out separation (the output
-/// stages in its own buffer, like the ciphertext wire: unmetered staging) is
-/// what makes the split safe: no chunk can read what another chunk writes.
-using PassComputeChunkFn =
-    std::function<void(std::uint64_t t, std::span<const Record> in,
-                       std::uint64_t first_block, std::span<Record> out)>;
-
-/// A chunked pass: the per-chunk function plus the call site's grain.
-/// grain_blocks = 0 lets the pipeline split each pass's output evenly across
-/// the pool's lanes; call sites with alignment constraints (unit sorts) pass
-/// an explicit multiple.  At 1 compute lane the whole window runs inline on
-/// the master -- identical bytes, no queue round trip.
-struct ParallelCompute {
-  PassComputeChunkFn chunk;
-  std::size_t grain_blocks = 0;
-};
 
 struct PipelineOptions {
   /// In-flight window ring size K: pass t computes while the reads of up to
@@ -110,15 +87,6 @@ struct PipelineOptions {
 
 void run_block_pipeline(Client& client, std::uint64_t passes,
                         const PassDescribeFn& describe, const PassComputeFn& compute,
-                        PipelineOptions options = {});
-
-/// Chunk-parallel overload: pass compute fans out across the client's
-/// ComputePool (ClientParams::compute_threads lanes).  Everything Bob can
-/// observe is untouched by construction -- describe(), submission order,
-/// trace and stat recording stay on the master thread in program order, so
-/// the device trace is byte-identical at any lane count.
-void run_block_pipeline(Client& client, std::uint64_t passes,
-                        const PassDescribeFn& describe, const ParallelCompute& compute,
                         PipelineOptions options = {});
 
 /// The algorithm layer's common copy/assembly scan, pipelined: copy `count`

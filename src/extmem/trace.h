@@ -38,9 +38,8 @@ struct IoStats {
   std::uint64_t drained_writes = 0;
   std::uint64_t drained_read_ops = 0;
   std::uint64_t drained_write_ops = 0;
-  // Compute-plane wall time, recorded on the master thread: the pipeline's
-  // compute phase (including the worker-pool barrier) and the encrypt/decrypt
-  // sections of Client.  Diagnostics only -- NOT part of Bob's view (wall
+  // Compute wall time, recorded on the caller's thread: the pipeline's
+  // compute phase and the encrypt/decrypt sections of Client.  Diagnostics only -- NOT part of Bob's view (wall
   // time is not in the trace), but printed by the bench notes so
   // compute-vs-I/O bottleneck shifts are visible in every row.
   std::uint64_t compute_ns = 0;

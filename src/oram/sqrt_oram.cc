@@ -101,21 +101,13 @@ void SqrtOram::reshuffle() {
         const std::uint64_t k = std::min(W, nb - first);
         for (std::uint64_t j = 0; j < k; ++j) io.writes.push_back(first + j);
       },
-      // Each output record is a pure function of its global index (the PRP
-      // apply is const), so the window chunks across the compute pool.
-      ParallelCompute{[&, W, B, total](std::uint64_t t, std::span<const Record>,
-                                       std::uint64_t first_block,
-                                       std::span<Record> out) {
-                        const std::uint64_t first = t * W + first_block;
-                        for (std::size_t idx = 0; idx < out.size(); ++idx) {
-                          const std::uint64_t v = first * B + idx;
-                          out[idx] =
-                              v < total
-                                  ? Record{prp_.apply(v), v < n_ ? expected_value(v) : 0}
-                                  : Record{};
-                        }
-                      },
-                      0});
+      [&](std::uint64_t t, std::span<Record> buf) {
+        for (std::size_t idx = 0; idx < buf.size(); ++idx) {
+          const std::uint64_t v = t * W * B + idx;
+          buf[idx] = v < total ? Record{prp_.apply(v), v < n_ ? expected_value(v) : 0}
+                               : Record{};
+        }
+      });
 
   // The pluggable inner loop: oblivious sort by tag.
   if (kind_ == ShuffleKind::kDeterministic) {
@@ -142,20 +134,12 @@ void SqrtOram::reshuffle() {
           io.writes.push_back(first + j);
         }
       },
-      // Output record p = input record p with its key replaced by the const
-      // PRP inverse of p -- pure per chunk, so it fans out like the retag.
-      ParallelCompute{[&, W, B, total](std::uint64_t t, std::span<const Record> in,
-                                       std::uint64_t first_block,
-                                       std::span<Record> out) {
-                        const std::size_t off = first_block * B;
-                        const std::uint64_t first = t * W + first_block;
-                        for (std::size_t idx = 0; idx < out.size(); ++idx) {
-                          const std::uint64_t p = first * B + idx;
-                          out[idx] = in[off + idx];
-                          if (p < total) out[idx].key = prp_.inverse(p);
-                        }
-                      },
-                      0});
+      [&](std::uint64_t t, std::span<Record> buf) {
+        for (std::size_t idx = 0; idx < buf.size(); ++idx) {
+          const std::uint64_t p = t * W * B + idx;
+          if (p < total) buf[idx].key = prp_.inverse(p);
+        }
+      });
 
   // Clear the stash (write-only pipelined scan).
   run_block_pipeline(
@@ -166,11 +150,9 @@ void SqrtOram::reshuffle() {
         const std::uint64_t k = std::min(W, stash_.num_blocks() - first);
         for (std::uint64_t j = 0; j < k; ++j) io.writes.push_back(first + j);
       },
-      ParallelCompute{[](std::uint64_t, std::span<const Record>, std::uint64_t,
-                         std::span<Record> out) {
-                        std::fill(out.begin(), out.end(), Record{});
-                      },
-                      0});
+      [](std::uint64_t, std::span<Record> buf) {
+        std::fill(buf.begin(), buf.end(), Record{});
+      });
 
   used_ = 0;
   ++stats_.reshuffles;

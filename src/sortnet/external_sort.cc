@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
+#include <numeric>
 #include <vector>
 
 #include "extmem/pipeline.h"
@@ -82,10 +83,10 @@ void sort_runs(Client& c, const ExtArray& work, const RunLayout& runs,
 }
 
 /// Phase 2: drive the comparator schedule through the pipeline.  Each pass
-/// gathers both runs, merges privately (chunk-parallel on the compute pool),
-/// and scatters the lower run_blocks blocks back to run i, the rest to run j.
+/// gathers both runs, merges privately, and scatters the lower run_blocks
+/// blocks back to run i, the rest to run j.
 void run_network(Client& c, const ExtArray& work, const RunLayout& runs,
-                 const ParallelCompute& merge) {
+                 const PassComputeFn& merge) {
   // Materialized so the pipeline can look ahead (a public function of the
   // run count).
   std::vector<std::pair<std::uint64_t, std::uint64_t>> schedule;
@@ -104,85 +105,6 @@ void run_network(Client& c, const ExtArray& work, const RunLayout& runs,
       merge);
 }
 
-/// Chunked merge of the two sorted runs gathered back to back in `in` (the
-/// first one full, the second possibly the short last run): the merge-path
-/// split (binary search over the cross diagonal) finds where
-/// output offset k = first_block * B begins, then each chunk merges its own
-/// slice serially.  The split is the unique one a stable merge (run-0 wins
-/// ties) produces, so the concatenated chunks are byte-identical to one
-/// serial std::inplace_merge at any chunking.
-ParallelCompute chunked_run_merge(std::size_t B, std::size_t run_records) {
-  return {[B, run_records](std::uint64_t, std::span<const Record> in,
-                           std::uint64_t first_block, std::span<Record> out) {
-            const std::span<const Record> a = in.first(run_records);
-            const std::span<const Record> b = in.subspan(run_records);
-            const std::size_t k = static_cast<std::size_t>(first_block) * B;
-            std::size_t lo = k > b.size() ? k - b.size() : 0;
-            std::size_t hi = std::min(k, a.size());
-            while (lo < hi) {
-              const std::size_t i = lo + (hi - lo) / 2;
-              const std::size_t j = k - i;
-              if (j > 0 && !RecordLess{}(b[j - 1], a[i])) lo = i + 1;
-              else hi = i;
-            }
-            std::size_t i = lo, j = k - lo;
-            for (Record& r : out) {
-              const bool take_b =
-                  i >= a.size() || (j < b.size() && RecordLess{}(b[j], a[i]));
-              r = take_b ? b[j++] : a[i++];
-            }
-          },
-          0};
-}
-
-/// Unit-granularity counterpart: runs are sequences of whole units ordered by
-/// their first record, so the merge path walks unit indices and each chunk
-/// copies whole units.  Chunks must be unit-aligned -- the call site passes a
-/// grain that is a multiple of unit_blocks.
-ParallelCompute chunked_unit_merge(Client& c, std::uint64_t run_blocks,
-                                   std::uint64_t unit_blocks,
-                                   std::size_t unit_records) {
-  const std::size_t B = c.B();
-  const std::size_t run_records = static_cast<std::size_t>(run_blocks) * B;
-  const std::size_t lanes = std::max<std::size_t>(1, c.compute_pool().threads());
-  const std::uint64_t out_blocks = 2 * run_blocks;
-  const std::size_t grain =
-      static_cast<std::size_t>(ceil_div(ceil_div(out_blocks, lanes), unit_blocks) *
-                               unit_blocks);
-  return {[run_records, unit_records, unit_blocks](
-              std::uint64_t, std::span<const Record> in, std::uint64_t first_block,
-              std::span<Record> out) {
-            const std::size_t a_units = run_records / unit_records;
-            const std::size_t b_units = (in.size() - run_records) / unit_records;
-            auto af = [&](std::size_t i) -> const Record& {
-              return in[i * unit_records];
-            };
-            auto bf = [&](std::size_t j) -> const Record& {
-              return in[run_records + j * unit_records];
-            };
-            const std::size_t k = static_cast<std::size_t>(first_block / unit_blocks);
-            std::size_t lo = k > b_units ? k - b_units : 0;
-            std::size_t hi = std::min(k, a_units);
-            while (lo < hi) {
-              const std::size_t i = lo + (hi - lo) / 2;
-              const std::size_t j = k - i;
-              if (j > 0 && !RecordLess{}(bf(j - 1), af(i))) lo = i + 1;
-              else hi = i;
-            }
-            std::size_t i = lo, j = k - lo;
-            const std::size_t out_units = out.size() / unit_records;
-            for (std::size_t o = 0; o < out_units; ++o) {
-              const bool take_b =
-                  i >= a_units || (j < b_units && RecordLess{}(bf(j), af(i)));
-              const std::size_t src =
-                  take_b ? run_records + (j++) * unit_records : (i++) * unit_records;
-              std::copy_n(in.begin() + static_cast<std::ptrdiff_t>(src), unit_records,
-                          out.begin() + static_cast<std::ptrdiff_t>(o * unit_records));
-            }
-          },
-          grain};
-}
-
 }  // namespace
 
 void ext_oblivious_sort(Client& client, const ExtArray& a) {
@@ -196,9 +118,13 @@ void ext_oblivious_sort(Client& client, const ExtArray& a) {
   });
 
   // Phase 2: sorting network over runs with merge-split comparators.  Both
-  // runs are individually sorted; a single (chunk-parallel) merge suffices.
-  run_network(client, a, runs,
-              chunked_run_merge(client.B(), static_cast<std::size_t>(runs.run_blocks) * client.B()));
+  // runs are individually sorted, so one stable merge (run i wins ties)
+  // suffices; the first run is always a full one.
+  const std::ptrdiff_t run_records =
+      static_cast<std::ptrdiff_t>(runs.run_blocks * client.B());
+  run_network(client, a, runs, [run_records](std::uint64_t, std::span<Record> buf) {
+    std::inplace_merge(buf.begin(), buf.begin() + run_records, buf.end(), RecordLess{});
+  });
 }
 
 void sort_region_in_cache(Client& client, const ExtArray& a, std::uint64_t first_block,
@@ -223,20 +149,20 @@ void sort_region_in_cache(Client& client, const ExtArray& a, std::uint64_t first
 
 namespace {
 
-/// Sort the units inside an in-cache buffer of whole units by their first
-/// record (RecordLess).  Stable so that differential tests are deterministic.
-void sort_units_in_buffer(std::span<Record> buf, std::size_t unit_records) {
-  const std::size_t units = buf.size() / unit_records;
-  std::vector<std::size_t> order(units);
-  for (std::size_t u = 0; u < units; ++u) order[u] = u;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+/// Reorder the whole units of `buf` by their first record (RecordLess):
+/// `arrange(order, less)` sorts or merges the identity order of the units,
+/// then unit u of the result is unit order[u] of the input.
+template <typename Arrange>
+void arrange_units(std::span<Record> buf, std::size_t unit_records, Arrange&& arrange) {
+  std::vector<std::size_t> order(buf.size() / unit_records);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  arrange(order, [&](std::size_t x, std::size_t y) {
     return RecordLess{}(buf[x * unit_records], buf[y * unit_records]);
   });
   std::vector<Record> out(buf.size());
-  for (std::size_t u = 0; u < units; ++u) {
-    std::copy(buf.begin() + static_cast<std::ptrdiff_t>(order[u] * unit_records),
-              buf.begin() + static_cast<std::ptrdiff_t>((order[u] + 1) * unit_records),
-              out.begin() + static_cast<std::ptrdiff_t>(u * unit_records));
+  for (std::size_t u = 0; u < order.size(); ++u) {
+    std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(order[u] * unit_records),
+                unit_records, out.begin() + static_cast<std::ptrdiff_t>(u * unit_records));
   }
   std::copy(out.begin(), out.end(), buf.begin());
 }
@@ -258,14 +184,22 @@ void ext_oblivious_unit_sort(Client& client, const ExtArray& a,
       units, std::max<std::uint64_t>(1, default_run_blocks(client.m()) / unit_blocks));
   const RunLayout runs{n, run_units * unit_blocks};
 
-  // Phase 1: unit-sort each run privately.
+  // Phase 1: unit-sort each run privately.  Stable so that differential
+  // tests are deterministic.
   sort_runs(client, a, runs, [&](std::span<Record> buf) {
-    sort_units_in_buffer(buf, unit_records);
+    arrange_units(buf, unit_records, [](std::vector<std::size_t>& order, auto less) {
+      std::stable_sort(order.begin(), order.end(), less);
+    });
   });
 
-  // Phase 2: network over runs with unit-granularity merge-split.
-  run_network(client, a, runs,
-              chunked_unit_merge(client, runs.run_blocks, unit_blocks, unit_records));
+  // Phase 2: network over runs with unit-granularity merge-split, a stable
+  // merge in which the first (always full) run wins ties.
+  const auto first_units = static_cast<std::ptrdiff_t>(run_units);
+  run_network(client, a, runs, [&](std::uint64_t, std::span<Record> buf) {
+    arrange_units(buf, unit_records, [&](std::vector<std::size_t>& order, auto less) {
+      std::inplace_merge(order.begin(), order.begin() + first_units, order.end(), less);
+    });
+  });
 }
 
 std::uint64_t ext_sort_predicted_ios(std::uint64_t n_blocks, std::uint64_t m_blocks) {

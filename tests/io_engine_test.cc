@@ -234,10 +234,6 @@ struct EngineCase {
   /// Route through the real oem-server binary (fork/exec, separate address
   /// space) instead of the in-process loopback server.
   bool out_of_process = false;
-  /// Compute-plane lanes.  The references all run at 1 (serial), so a row
-  /// with compute_threads > 1 pins the worker pool byte-identical to the
-  /// serial compute path.
-  std::size_t compute_threads = 1;
   /// io_uring + O_DIRECT file store (DirectFileBackend; threaded fallback on
   /// refusing kernels).  Engine choice is pure mechanism: same trace.
   bool direct_file = false;
@@ -264,20 +260,14 @@ std::vector<EngineCase> engine_cases() {
           // as the in-process loopback is.
           {"oem_server_process", 1, false, false, true, 2, 0, /*oop=*/true},
           {"oem_server_sharded4_prefetch", 4, true, false, true, 2, 0, true},
-          // The compute plane: chunk-parallel pass compute + parallel crypto
-          // on 4 lanes, pinned against the serial mem reference -- alone and
-          // stacked on the deepest wire pipeline in the matrix.
-          {"compute4", 1, false, false, false, 2, 0, false, /*threads=*/4},
-          {"compute4_remote_sharded4_depth4", 4, true, false, true, 4, 0, false,
-           4},
           // The O_DIRECT/io_uring disk engine at pipeline depth 4: real
           // kernel-queued I/O (or its threaded fallback) pinned against mem
           // at the same depth.
           {"direct_file_depth4", 1, true, false, false, /*depth=*/4, 0, false,
-           1, /*direct=*/true},
+           /*direct=*/true},
           // A remote session whose write-back cache is one VIEW of a shared
           // CacheCore under live cross-session residency pressure.
-          {"shared_cache_remote", 1, true, false, true, 2, 0, false, 1, false,
+          {"shared_cache_remote", 1, true, false, true, 2, 0, false, false,
            /*shared_cache=*/true}};
 }
 
@@ -300,7 +290,6 @@ void run_engine_case(const EngineCase& ec, std::span<const Record> input,
                      .sharded(ec.shards)
                      .async_prefetch(ec.prefetch)
                      .pipeline_depth(depth)
-                     .compute_threads(ec.compute_threads)
                      .fault_injection(ec.faulty ? 77 : 0, ec.faulty ? 0.02 : 0.0);
   // A striped faulty store needs a budget that covers every shard firing
   // once across consecutive attempts (each shard rolls its own decisions;

@@ -4,12 +4,18 @@
 // that the server only ever holds fresh ciphertext.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "api/session.h"
+#include "extmem/backend.h"
 #include "extmem/client.h"
 #include "extmem/io_engine.h"
 #include "extmem/remote.h"
@@ -239,6 +245,101 @@ TEST(AsyncRemote, SubmittedOpsPipelineAndReplayAfterDrop) {
   for (std::uint64_t i = 0; i < 16; ++i)
     EXPECT_EQ(reads[i][0], 100 + i) << "read " << i << " saw a stale write";
   EXPECT_GE(async->retries(), 1u);
+}
+
+/// Split-phase store in which the server side is the in-memory array: a
+/// begun write is applied at once, a begun read snapshots its blocks at once,
+/// and responses arrive at complete_oldest() in begin order.  Arming
+/// `lose_read_of` drops the response of the next read of that block with
+/// kIo (the request itself was served).  While `hold` is set, every begin
+/// waits, so a test can queue several ops before the I/O thread starts any.
+class SplitPhaseFake : public MemBackend {
+ public:
+  explicit SplitPhaseFake(std::size_t bw) : MemBackend(bw) {}
+
+  std::uint64_t lose_read_of = ~0ULL;
+
+  void set_hold(bool on) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      hold_ = on;
+    }
+    cv_.notify_all();
+  }
+
+ protected:
+  std::size_t do_max_inflight() const override { return 8; }
+  Status do_begin_read_many(std::span<const std::uint64_t> blocks,
+                            std::span<Word> out) override {
+    wait_for_release();
+    Pending p{out, std::vector<Word>(out.size()), Status::Ok()};
+    OEM_RETURN_IF_ERROR(MemBackend::do_read_many(blocks, p.data));
+    if (blocks.size() == 1 && blocks[0] == lose_read_of) {
+      p.st = Status::Io("response lost");
+      lose_read_of = ~0ULL;
+    }
+    pending_.push_back(std::move(p));
+    return Status::Ok();
+  }
+  Status do_begin_write_many(std::span<const std::uint64_t> blocks,
+                             std::span<const Word> in) override {
+    wait_for_release();
+    pending_.push_back({{}, {}, MemBackend::do_write_many(blocks, in)});
+    return Status::Ok();
+  }
+  Status do_complete_oldest() override {
+    if (pending_.empty()) return Status::Ok();
+    Pending p = std::move(pending_.front());
+    pending_.pop_front();
+    if (p.st.ok()) std::copy(p.data.begin(), p.data.end(), p.out.begin());
+    return p.st;
+  }
+
+ private:
+  struct Pending {
+    std::span<Word> out;
+    std::vector<Word> data;
+    Status st;
+  };
+  void wait_for_release() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return !hold_; });
+  }
+  std::deque<Pending> pending_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool hold_ = false;
+};
+
+// A replayed read must not observe a write that follows it in the window:
+// the server may already have applied that write when the read's response
+// was lost.  Deterministic: the I/O thread is held inside the first begin
+// until the read and the later write of the same block are both queued.
+TEST(AsyncRemote, ReplayedReadNeverSeesALaterWrite) {
+  auto fake_owner = std::make_unique<SplitPhaseFake>(kBw);
+  SplitPhaseFake* fake = fake_owner.get();
+  AsyncBackend async(std::move(fake_owner));
+  async.set_retry_attempts(3);
+  ASSERT_TRUE(async.resize(8).ok());
+
+  async.submit_write_many({3}, std::vector<Word>(kBw, 107));
+  ASSERT_TRUE(async.drain().ok());
+
+  fake->lose_read_of = 3;
+  fake->set_hold(true);
+  async.submit_write_many({1}, std::vector<Word>(kBw, 1));  // holds the I/O thread
+  std::vector<Word> seen(kBw);
+  const AsyncBackend::Ticket read = async.submit_read_many(std::vector<std::uint64_t>{3}, seen);
+  async.submit_write_many({3}, std::vector<Word>(kBw, 111));
+  fake->set_hold(false);
+
+  ASSERT_TRUE(async.wait(read).ok()) << "the retry budget must absorb the lost response";
+  ASSERT_TRUE(async.drain().ok());
+  EXPECT_EQ(seen[0], 107u) << "the replayed read saw the write queued after it";
+  EXPECT_GE(async.retries(), 1u);
+  std::vector<Word> final_state(kBw);
+  ASSERT_TRUE(async.read_many(std::vector<std::uint64_t>{3}, final_state).ok());
+  EXPECT_EQ(final_state[0], 111u);
 }
 
 // ---------------------------------------------------------------------------

@@ -382,7 +382,6 @@ std::vector<RestartOption> restart_options() {
       {"latency", [fast](Session::Builder& b) { b.latency(fast); }},
       {"async_prefetch", [](Session::Builder& b) { b.async_prefetch(); }},
       {"depth4", [](Session::Builder& b) { b.pipeline_depth(4); }},
-      {"compute2", [](Session::Builder& b) { b.compute_threads(2); }},
       {"faults", [](Session::Builder& b) { b.fault_injection(31, 0.01); }},
       {"retries3", [](Session::Builder& b) { b.io_retries(3); }},
       {"batch1", [](Session::Builder& b) { b.io_batch_blocks(1); }},

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "obliv/trace_check.h"
@@ -213,6 +214,74 @@ TEST(SortRegionInCache, SortsSlice) {
   for (std::size_t i = 48; i < 64; ++i) EXPECT_EQ(out[i], v[i]);
   std::vector<Record> mid(out.begin() + 16, out.begin() + 48);
   EXPECT_TRUE(std::is_sorted(mid.begin(), mid.end(), RecordLess{}));
+}
+
+/// FNV-1a over every (key, value) pair of `v`, in order.
+std::uint64_t hash_records(const std::vector<Record>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Record& r : v)
+    for (Word w : {r.key, r.value}) {
+      h ^= w;
+      h *= 0x100000001b3ULL;
+    }
+  return h;
+}
+
+// Byte-level pins for both sorts' merge-split outputs on tie-heavy inputs
+// (a stable merge in which run 0 wins ties).  B = 4: the record sort runs
+// m/2 = 4-block runs at M = 32, the unit sort 8-block runs at M = 64; each
+// case list includes a short last run.  The hashes were recorded from the
+// merge-path chunk merge and must survive any rewrite of the merge.
+TEST(ExtSort, TieHeavyOutputBytesArePinned) {
+  struct Case {
+    std::uint64_t records;
+    std::uint64_t hash;
+  };
+  // 3 runs; 9 runs; 13 runs, the last 1 block; 16 runs.
+  for (const Case& c : {Case{48, 17706634766185704686ULL},
+                       Case{144, 1599508656235491105ULL},
+                       Case{195, 8298728997896493484ULL},
+                       Case{256, 12701102944268918727ULL}}) {
+    Client client(test::params(4, 32));
+    ExtArray a = client.alloc(c.records, Client::Init::kUninit);
+    rng::Xoshiro g(c.records);
+    std::vector<Record> v(c.records);
+    for (Record& r : v)  // keys 0..3 and values 0..1: many exact duplicates
+      r = g.next() % 5 == 0 ? Record{} : Record{g.next() % 4, g.next() % 2};
+    client.poke(a, v);
+    ext_oblivious_sort(client, a);
+    EXPECT_EQ(hash_records(client.peek(a)), c.hash) << "records=" << c.records;
+  }
+}
+
+TEST(UnitSort, TieHeavyOutputBytesArePinned) {
+  struct Case {
+    std::uint64_t unit_blocks;
+    std::uint64_t units;
+    std::uint64_t hash;
+  };
+  // ub=1: runs of 8 units (45 units: 6 runs, the last 5 units).  ub=2: runs
+  // of 4 units (37 units: 10 runs, the last 1 unit; 32 units: 8 full runs).
+  for (const Case& c : {Case{1, 45, 3133806401656358858ULL},
+                       Case{1, 64, 8466662226942571560ULL},
+                       Case{2, 37, 16477694763109448706ULL},
+                       Case{2, 32, 5843803154727882255ULL}}) {
+    Client client(test::params(4, 64));
+    const std::uint64_t unit_records = c.unit_blocks * 4;
+    ExtArray a = client.alloc_blocks(c.units * c.unit_blocks, Client::Init::kUninit);
+    rng::Xoshiro g(c.units * 10 + c.unit_blocks);
+    std::vector<Record> flat(c.units * unit_records);
+    for (std::uint64_t u = 0; u < c.units; ++u) {
+      // Headers drawn from 3 keys (and an occasional dummy) with one shared
+      // value, so equal headers abound; the payload records tell them apart.
+      flat[u * unit_records] = g.next() % 6 == 0 ? Record{} : Record{g.next() % 3, 7};
+      for (std::uint64_t r = 1; r < unit_records; ++r) flat[u * unit_records + r] = {u, r};
+    }
+    client.poke(a, flat);
+    ext_oblivious_unit_sort(client, a, c.unit_blocks);
+    EXPECT_EQ(hash_records(client.peek(a)), c.hash)
+        << "unit_blocks=" << c.unit_blocks << " units=" << c.units;
+  }
 }
 
 }  // namespace
